@@ -135,6 +135,22 @@ impl Drop for ServerProc {
     }
 }
 
+/// The host's CPU time stolen by the hypervisor and its total CPU time, in
+/// clock ticks summed over all cores (`/proc/stat`). Steal is time a
+/// virtual core was ready but a neighbour ran; it slows a run without
+/// showing in its own CPU time.
+pub fn host_steal_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .skip(1)
+        .map(|t| t.parse().ok())
+        .collect::<Option<_>>()?;
+    Some((*ticks.get(7)?, ticks.iter().sum()))
+}
+
 /// One newline-JSON connection.
 pub struct Conn {
     reader: BufReader<TcpStream>,

@@ -7,12 +7,12 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use crate::check::{self, Verdict};
-use crate::client::{Conn, ServerProc};
-use crate::load::{self, Batch, Sample, Schedule};
+use crate::client::{self, Conn, ServerProc};
+use crate::load::{self, Batch, Reader, Sample, Schedule};
 use crate::workload::{graph_after, Kind, Workload};
 
 /// Launches measured for `setup_s`; the last one serves the load.
-const SETUP_LAUNCHES: usize = 7;
+const SETUP_LAUNCHES: usize = 11;
 
 pub struct Metric {
     pub name: &'static str,
@@ -56,7 +56,6 @@ pub struct E2e {
     pub metrics: Vec<Metric>,
     pub tally: Tally,
     pub reads: usize,
-    pub read_qps: f64,
     pub window_s: f64,
     pub cpu_window_s: f64,
     /// `stats` and `metrics` replies before and after the read window, and
@@ -108,49 +107,56 @@ pub fn run(w: &Workload, bcc: &Path, seconds: f64) -> Result<E2e, String> {
 
     let [stats0, metrics0] = snapshot(addr)?;
     let cpu0 = server.cpu_seconds().unwrap_or(f64::NAN);
+    let steal0 = client::host_steal_ticks();
 
     // The read window (and, on rw-x2, the writer running alongside).
     let t0 = Instant::now() + Duration::from_millis(5);
     let end = t0 + Duration::from_secs_f64(seconds);
     let concurrent_writer = w.spec.kind == Kind::ReadWrite;
-    let (reads, batches): (Vec<Vec<Sample>>, Result<Vec<Batch>, String>) =
-        std::thread::scope(|s| {
-            let writer = concurrent_writer.then(|| {
-                s.spawn(|| {
-                    load::writer(
-                        addr,
-                        &w.batches,
-                        Schedule::Rate(w.spec.commit_rate),
-                        t0,
-                        Some(end),
-                    )
-                })
-            });
-            let readers: Vec<_> = conns
-                .iter_mut()
-                .zip(&w.streams)
-                .map(|(conn, lines)| {
-                    s.spawn(move || {
-                        let now = Instant::now();
-                        if now < t0 {
-                            std::thread::sleep(t0 - now);
-                        }
-                        load::closed_loop(conn, lines, t0, end, w.spec.think_ms)
-                    })
-                })
-                .collect();
-            let reads = readers
-                .into_iter()
-                .map(|h| h.join().expect("reader panicked"))
-                .collect();
-            let batches = match writer {
-                Some(h) => h.join().expect("writer panicked"),
-                None => Ok(Vec::new()),
-            };
-            (reads, batches)
+    let (reads, batches): (Vec<Reader>, Result<Vec<Batch>, String>) = std::thread::scope(|s| {
+        let writer = concurrent_writer.then(|| {
+            s.spawn(|| {
+                load::writer(
+                    addr,
+                    &w.batches,
+                    Schedule::Rate(w.spec.commit_rate),
+                    t0,
+                    Some(end),
+                )
+            })
         });
+        let readers: Vec<_> = conns
+            .iter_mut()
+            .zip(&w.streams)
+            .map(|(conn, lines)| {
+                s.spawn(move || {
+                    let now = Instant::now();
+                    if now < t0 {
+                        std::thread::sleep(t0 - now);
+                    }
+                    load::closed_loop(conn, lines, t0, end, w.spec.think_ms)
+                })
+            })
+            .collect();
+        let reads = readers
+            .into_iter()
+            .map(|h| h.join().expect("reader panicked"))
+            .collect();
+        let batches = match writer {
+            Some(h) => h.join().expect("writer panicked"),
+            None => Ok(Vec::new()),
+        };
+        (reads, batches)
+    });
     let mut batches = batches?;
     let cpu1 = server.cpu_seconds().unwrap_or(f64::NAN);
+    if let (Some((stolen0, total0)), Some((stolen1, total1))) = (steal0, client::host_steal_ticks())
+    {
+        println!(
+            "host: {:.1}% of CPU time stolen by the hypervisor during the window",
+            100.0 * (stolen1 - stolen0) as f64 / (total1 - total0).max(1) as f64
+        );
+    }
     let [stats1, metrics1] = snapshot(addr)?;
     drop(conns);
 
@@ -172,13 +178,27 @@ pub fn run(w: &Workload, bcc: &Path, seconds: f64) -> Result<E2e, String> {
         tally.record(&e, Verdict::NoReply);
     }
 
-    let read_samples: Vec<&Sample> = reads.iter().flatten().collect();
+    if let Some(c) = reads.iter().position(|r| r.ran_dry) {
+        return Err(format!(
+            "stream exhausted: connection {c} sent all {} of its requests before the window \
+             closed; the throughput would be under-reported",
+            w.streams[c].len()
+        ));
+    }
+    let read_samples: Vec<&Sample> = reads.iter().flat_map(|r| &r.samples).collect();
     let window_s = read_samples
         .iter()
         .map(|s| s.replied.as_secs_f64())
         .fold(seconds, f64::max);
-    let completed = read_samples.iter().filter(|s| s.reply.is_ok()).count();
-    let read_qps = completed as f64 / window_s;
+    // Per connection, reads completed per second it was not pausing: the
+    // pause is the client's, not the service's.
+    let read_qps: f64 = reads
+        .iter()
+        .map(|r| {
+            let completed = r.samples.iter().filter(|s| s.reply.is_ok()).count();
+            completed as f64 / (window_s - r.paused.as_secs_f64())
+        })
+        .sum();
 
     // Answer checks, outside the timed window.
     check_writes(w, &batches, &mut tally);
@@ -228,12 +248,20 @@ pub fn run(w: &Workload, bcc: &Path, seconds: f64) -> Result<E2e, String> {
     latencies.sort_by(f64::total_cmp);
     let mut commits: Vec<f64> = batches.iter().map(|b| load::millis(b.latency())).collect();
     commits.sort_by(f64::total_cmp);
+    let cache = |key| {
+        check::json_u64(&stats1, &[key]).unwrap_or(0)
+            - check::json_u64(&stats0, &[key]).unwrap_or(0)
+    };
     println!(
-        "reads: {} in {:.3} s over {} connection(s); commits: {} batches of {} flips; \
-         retained replies with a stale `iterations`: {stale_iterations}; slow-query log lines: {slow_lines}",
+        "reads: {} in {:.3} s over {} connection(s), {:.3} s of it pausing, cache hits {} \
+         misses {}; commits: {} batches of {} flips; retained replies with a stale \
+         `iterations`: {stale_iterations}; slow-query log lines: {slow_lines}",
         read_samples.len(),
         window_s,
         w.spec.readers,
+        reads.iter().map(|r| r.paused.as_secs_f64()).sum::<f64>(),
+        cache("cache_hits"),
+        cache("cache_misses"),
         batches.len(),
         crate::workload::FLIPS_PER_BATCH,
     );
@@ -264,7 +292,6 @@ pub fn run(w: &Workload, bcc: &Path, seconds: f64) -> Result<E2e, String> {
         metrics,
         tally,
         reads: read_samples.len(),
-        read_qps,
         window_s,
         cpu_window_s: cpu1 - cpu0,
         stats: [stats0, stats1, stats2],
@@ -284,7 +311,7 @@ fn snapshot(addr: SocketAddr) -> Result<[String; 2], String> {
 
 /// Stage replies must count up, and each commit must report the edge
 /// count the client's own bookkeeping predicts.
-fn check_writes(w: &Workload, batches: &[Batch], tally: &mut Tally) {
+pub fn check_writes(w: &Workload, batches: &[Batch], tally: &mut Tally) {
     let vertices = w.graph.vertex_count();
     let mut edges = w.graph.edge_count();
     for (batch, flips) in batches.iter().zip(&w.batches) {

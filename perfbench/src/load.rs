@@ -22,6 +22,15 @@ impl Sample {
     }
 }
 
+/// One closed-loop connection's window.
+pub struct Reader {
+    pub samples: Vec<Sample>,
+    /// Time spent in the pause after each reply, as slept: wake-up included.
+    pub paused: Duration,
+    /// The stream ran out before the window closed.
+    pub ran_dry: bool,
+}
+
 /// Sends `lines` in order, each `think_ms` after the previous reply, until
 /// `end`. Every request sent before `end` is completed and kept.
 pub fn closed_loop(
@@ -30,34 +39,45 @@ pub fn closed_loop(
     t0: Instant,
     end: Instant,
     think_ms: f64,
-) -> Vec<Sample> {
-    let mut samples = Vec::new();
+) -> Reader {
+    let mut reader = Reader {
+        samples: Vec::new(),
+        paused: Duration::ZERO,
+        ran_dry: true,
+    };
     for line in lines {
         let now = Instant::now();
         if now >= end {
+            reader.ran_dry = false;
             break;
         }
         let reply = conn.round_trip(line);
         let done = Instant::now();
         let failed = reply.is_err();
-        samples.push(Sample {
+        reader.samples.push(Sample {
             line: line.clone(),
             sent: now - t0,
             replied: done - t0,
             reply,
         });
         if failed {
+            reader.ran_dry = false;
             break;
         }
         think(think_ms);
+        reader.paused += done.elapsed();
     }
-    samples
+    reader
 }
 
-/// A caller's pause between a reply and its next request.
+/// A caller's pause between a reply and its next request. It spins: a
+/// sleeping thread's wake-up takes longer the busier the host is, and it
+/// would stretch the pause and the next round trip with it.
 pub fn think(ms: f64) {
-    if ms > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(ms / 1e3));
+    let pause = Duration::from_secs_f64(ms / 1e3);
+    let start = Instant::now();
+    while start.elapsed() < pause {
+        std::hint::spin_loop();
     }
 }
 

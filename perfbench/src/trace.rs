@@ -24,7 +24,7 @@ use bcc_service::{
 
 use crate::check::{self, json_u64, Verdict};
 use crate::client::{Conn, ServerProc};
-use crate::e2e::{E2e, Metric, Tally};
+use crate::e2e::{check_writes, E2e, Metric, Tally};
 use crate::load;
 use crate::workload::{Kind, Workload};
 
@@ -220,13 +220,9 @@ pub fn run(
     }
 
     // The traced load: the same traffic, every request a span.
-    let traced_qps = traced_load(w, bcc, &mut spans, seconds, &mut tally)?;
-    put("trace.throughput_qps", traced_qps, "1/s");
-    put(
-        "trace.overhead_pct",
-        100.0 * (e2e.read_qps - traced_qps) / e2e.read_qps,
-        "%",
-    );
+    let traced = traced_load(w, bcc, &mut spans, seconds, &mut tally)?;
+    put("trace.throughput_qps", traced.qps, "1/s");
+    put("trace.overhead_pct", traced.overhead_pct, "%");
 
     // Layer replays, one request at a time.
     let replay = replay_requests(w, &mut spans, &mut tally)?;
@@ -360,16 +356,26 @@ pub fn run(
     Ok((tally, metrics))
 }
 
+/// What the traced load measured.
+struct Traced {
+    /// Reads completed per second not spent pausing, as in the untraced run.
+    qps: f64,
+    /// Time the readers spent recording spans, as a share of the time their
+    /// traced requests took.
+    overhead_pct: f64,
+}
+
 /// The untraced run's traffic again, against a fresh `bcc listen`, with a
 /// span per request (its send and its wait for the reply as children).
-/// The difference to the untraced throughput is the tracing overhead.
+/// Tracing is the readers' span bookkeeping; it is timed directly, because
+/// two separate loads differ by the host's drift more than by it.
 fn traced_load(
     w: &Workload,
     bcc: &Path,
     spans: &mut Spans,
     seconds: f64,
     tally: &mut Tally,
-) -> Result<f64, String> {
+) -> Result<Traced, String> {
     let server = ServerProc::launch(bcc, &w.graph_path)?;
     let addr = server.addr;
     let mut warm = Conn::connect(addr)?;
@@ -381,7 +387,7 @@ fn traced_load(
     let t0 = Instant::now() + Duration::from_millis(5);
     let end = t0 + Duration::from_secs_f64(seconds);
     let origin = spans.origin;
-    let results: Vec<Result<Vec<Span>, String>> = std::thread::scope(|s| {
+    let (readers, batches) = std::thread::scope(|s| {
         let writer = (w.spec.kind == Kind::ReadWrite).then(|| {
             s.spawn(move || {
                 load::writer(
@@ -403,36 +409,67 @@ fn traced_load(
                 })
             })
             .collect();
-        let out = readers
+        let readers: Vec<Result<TracedReader, String>> = readers
             .into_iter()
             .map(|h| h.join().expect("traced reader panicked"))
             .collect();
-        if let Some(writer) = writer {
-            let _ = writer.join().expect("traced writer panicked");
-        }
-        out
+        let batches = match writer {
+            Some(h) => h.join().expect("traced writer panicked"),
+            None => Ok(Vec::new()),
+        };
+        (readers, batches)
     });
     if let Err(e) = server.shutdown() {
         tally.record(&e, Verdict::NoReply);
     }
+    check_writes(w, &batches?, tally);
     let t0_ns = Spans::ns(t0 - origin);
-    let mut reads = 0usize;
     let mut last_ns = t0_ns + Spans::ns(Duration::from_secs_f64(seconds));
-    for result in results {
-        let conn_spans = result?;
+    let mut readers: Vec<TracedReader> = readers.into_iter().collect::<Result<_, _>>()?;
+    if let Some(c) = readers.iter().position(|r| r.ran_dry) {
+        return Err(format!(
+            "stream exhausted: traced connection {c} sent all its requests before the window closed"
+        ));
+    }
+    for r in &readers {
+        for s in r.spans.iter().filter(|s| s.name == "loadgen.request") {
+            last_ns = last_ns.max(s.start_ns.unwrap_or(0) + s.dur_ns);
+        }
+    }
+    let window = Duration::from_nanos(last_ns - t0_ns);
+    let (mut qps, mut bookkeeping, mut busy) = (0.0, Duration::ZERO, Duration::ZERO);
+    for r in &mut readers {
+        qps += r.completed as f64 / (window - r.paused).as_secs_f64();
+        bookkeeping += r.bookkeeping;
+        busy += r.busy;
+        tally.attempted += r.tally.attempted;
+        for (verdict, n) in std::mem::take(&mut r.tally.failures) {
+            *tally.failures.entry(verdict).or_default() += n;
+        }
+        tally.examples.append(&mut r.tally.examples);
         // Move the connection's spans into the shared arena.
         let base = spans.spans.len();
-        for mut s in conn_spans {
-            if s.name == "loadgen.request" {
-                reads += 1;
-                last_ns = last_ns.max(s.start_ns.unwrap_or(0) + s.dur_ns);
-            }
+        for mut s in r.spans.drain(..) {
             s.parent = s.parent.map(|p| p + base);
             spans.spans.push(s);
         }
     }
-    tally.attempted += reads as u64;
-    Ok(reads as f64 / ((last_ns - t0_ns) as f64 / 1e9))
+    Ok(Traced {
+        qps,
+        overhead_pct: 100.0 * bookkeeping.as_secs_f64() / busy.as_secs_f64(),
+    })
+}
+
+struct TracedReader {
+    spans: Vec<Span>,
+    tally: Tally,
+    completed: usize,
+    paused: Duration,
+    ran_dry: bool,
+    /// Wall time of the requests, and the time that went to recording
+    /// their spans.
+    busy: Duration,
+    bookkeeping: Duration,
 }
 
 fn traced_reader(
@@ -443,9 +480,17 @@ fn traced_reader(
     end: Instant,
     conn_id: u64,
     think_ms: f64,
-) -> Result<Vec<Span>, String> {
+) -> Result<TracedReader, String> {
     let mut conn = Conn::connect(addr)?;
-    let mut out = Vec::new();
+    let mut r = TracedReader {
+        spans: Vec::new(),
+        tally: Tally::default(),
+        completed: 0,
+        paused: Duration::ZERO,
+        ran_dry: true,
+        busy: Duration::ZERO,
+        bookkeeping: Duration::ZERO,
+    };
     let ns = |t: Instant| Spans::ns(t - origin);
     let now = Instant::now();
     if now < t0 {
@@ -454,40 +499,62 @@ fn traced_reader(
     for (i, line) in lines.iter().enumerate() {
         let start = Instant::now();
         if start >= end {
+            r.ran_dry = false;
             break;
         }
         let request = (conn_id << 32) | i as u64;
-        let root = out.len();
-        out.push(Span {
+        let root = r.spans.len();
+        r.spans.push(Span {
             name: "loadgen.request",
             start_ns: Some(ns(start)),
             dur_ns: 0,
             parent: None,
             request,
         });
-        conn.send_only(line)?;
-        let sent = Instant::now();
-        out.push(Span {
-            name: "net.send",
-            start_ns: Some(ns(start)),
-            dur_ns: Spans::ns(sent - start),
-            parent: Some(root),
-            request,
+        let recorded = Instant::now();
+        let reply = conn.send_only(line).and_then(|()| {
+            let sent = Instant::now();
+            r.spans.push(Span {
+                name: "net.send",
+                start_ns: Some(ns(start)),
+                dur_ns: Spans::ns(sent - start),
+                parent: Some(root),
+                request,
+            });
+            let waiting = Instant::now();
+            r.bookkeeping += waiting - sent;
+            let reply = conn.recv();
+            let done = Instant::now();
+            r.spans.push(Span {
+                name: "net.wait_reply",
+                start_ns: Some(ns(sent)),
+                dur_ns: Spans::ns(done - sent),
+                parent: Some(root),
+                request,
+            });
+            r.spans[root].dur_ns = Spans::ns(done - start);
+            r.busy += done - start;
+            r.bookkeeping += done.elapsed();
+            reply
         });
-        let reply = conn.recv()?;
-        let done = Instant::now();
-        out.push(Span {
-            name: "net.wait_reply",
-            start_ns: Some(ns(sent)),
-            dur_ns: Spans::ns(done - sent),
-            parent: Some(root),
-            request,
-        });
-        out[root].dur_ns = Spans::ns(done - start);
-        check::shape(&Ok(reply)).map_err(|v| format!("traced request `{line}`: {}", v.name()))?;
+        r.bookkeeping += recorded - start;
+        let failed = reply.is_err();
+        match check::shape(&reply) {
+            Ok(_) => {
+                r.completed += 1;
+                r.tally.record(line, Verdict::Ok);
+            }
+            Err(v) => r.tally.record(line, v),
+        }
+        if failed {
+            r.ran_dry = false;
+            break;
+        }
+        let paused = Instant::now();
         load::think(think_ms);
+        r.paused += paused.elapsed();
     }
-    Ok(out)
+    Ok(r)
 }
 
 struct Replay {
