@@ -25,7 +25,8 @@ impl Sample {
 /// One closed-loop connection's window.
 pub struct Reader {
     pub samples: Vec<Sample>,
-    /// Time spent in the pause after each reply, as slept: wake-up included.
+    /// Time from each reply to the next request: the pause and the loop's
+    /// own bookkeeping.
     pub paused: Duration,
     /// The stream ran out before the window closed.
     pub ran_dry: bool,
