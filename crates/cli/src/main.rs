@@ -61,10 +61,9 @@ unasked). The produced index is bit-identical at any setting.
 
 --query-threads parallelizes the stages *inside* each search — BFS query
 distances, label-core reduction, butterfly recounts (0 = one thread per
-core, explicit 1 = the sequential reference). Results and responses are
-bit-identical at any setting. One-shot search/msearch default to 1; the
-serving commands default to AUTO (sequential on small graphs, one thread
-per core on large ones).
+core). The default, 1, runs each search sequentially on one thread; the
+serving commands already run queries side by side on their workers.
+Results and responses are bit-identical at any setting.
 
 --shards splits the serving commands into N independent worker pools
 (default 1). A routing table pins each graph to a shard by name; `shard
@@ -385,13 +384,7 @@ fn start_service(args: &[String]) -> Result<BccService, String> {
             .map(|t| t.parse().map_err(|_| "--slow-query-ms must be an integer"))
             .transpose()?
             .unwrap_or(250),
-        // Under the service the knob is adaptive by default (sequential on
-        // small graphs, all cores on big ones); `--query-threads 1` stays
-        // the explicit sequential reference.
-        query_threads: flag_value(args, "--query-threads")
-            .map(|t| t.parse().map_err(|_| "--query-threads must be an integer"))
-            .transpose()?
-            .unwrap_or(bcc_service::QUERY_THREADS_AUTO),
+        query_threads: query_threads(args)?,
         faults: fault_specs(args)?,
         breaker_threshold: flag_value(args, "--breaker-threshold")
             .map(|t| t.parse().map_err(|_| "--breaker-threshold must be an integer"))

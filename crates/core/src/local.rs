@@ -22,7 +22,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use bcc_graph::{GraphView, Label, VertexId};
+use bcc_graph::{GraphRead, Label, VertexId};
+use rustc_hash::FxHashMap;
 
 use crate::index::BccIndex;
 
@@ -89,32 +90,32 @@ fn state_weight(index: &BccIndex, weights: PathWeights, len: u32, min_delta: u32
         + weights.gamma2 * (index.chi_max - min_chi) as f64
 }
 
-/// Minimum butterfly-core-weight path from `s` to `t` over the alive
-/// vertices of `view` whose labels appear in `allowed`. Returns the path's
+/// Minimum butterfly-core-weight path from `s` to `t` over the live
+/// vertices of `graph` whose labels appear in `allowed`. Returns the path's
 /// vertices (s first, t last), or `None` if no such path exists.
-pub fn butterfly_core_path(
-    view: &GraphView<'_>,
+///
+/// Reads only the vertices the search visits, so it runs on the bare
+/// snapshot as readily as on a [`bcc_graph::GraphView`] with deletions.
+pub fn butterfly_core_path<G: GraphRead>(
+    graph: &G,
     index: &BccIndex,
     weights: PathWeights,
     s: VertexId,
     t: VertexId,
     allowed: &[Label],
 ) -> Option<Vec<VertexId>> {
-    let graph = view.graph();
-    let admissible =
-        |v: VertexId| view.is_alive(v) && allowed.contains(&graph.label(v));
+    let admissible = |v: VertexId| graph.is_alive(v) && allowed.contains(&graph.label(v));
     if !admissible(s) || !admissible(t) {
         return None;
     }
-    let n = graph.vertex_count();
-    // Pareto label sets per vertex: (len, min_delta, min_chi).
-    let mut labels: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); n];
+    // Pareto label sets of the visited vertices: (len, min_delta, min_chi).
+    let mut labels: FxHashMap<VertexId, Vec<(u32, u32, u64)>> = FxHashMap::default();
     let mut arena: Vec<(VertexId, usize)> = Vec::new();
     let mut heap: BinaryHeap<PathState> = BinaryHeap::new();
 
     let push = |heap: &mut BinaryHeap<PathState>,
                 arena: &mut Vec<(VertexId, usize)>,
-                labels: &mut Vec<Vec<(u32, u32, u64)>>,
+                labels: &mut FxHashMap<VertexId, Vec<(u32, u32, u64)>>,
                 vertex: VertexId,
                 len: u32,
                 min_delta: u32,
@@ -122,7 +123,7 @@ pub fn butterfly_core_path(
                 parent: usize|
      -> bool {
         let entry = (len, min_delta, min_chi);
-        let set = &mut labels[vertex.index()];
+        let set = labels.entry(vertex).or_default();
         // Dominated by an existing label? (shorter-or-equal, stronger-or-equal)
         if set
             .iter()
@@ -172,7 +173,7 @@ pub fn butterfly_core_path(
             path.reverse();
             return Some(path);
         }
-        for u in view.neighbors(state.vertex) {
+        for u in graph.neighbors_iter(state.vertex) {
             if !allowed.contains(&graph.label(u)) {
                 continue;
             }
@@ -194,15 +195,15 @@ pub fn butterfly_core_path(
 /// Algorithm 8 lines 2–3: expands seed vertices into a candidate of at most
 /// ~η vertices, admitting a vertex only when its indexed coreness reaches
 /// its label's floor (the minimum coreness seen on the seed path for that
-/// label). Returns the selected vertices.
-pub fn expand_candidate(
-    view: &GraphView<'_>,
+/// label). Returns the selected vertices; dead seeds and dead neighbors of
+/// `graph` are never selected.
+pub fn expand_candidate<G: GraphRead>(
+    graph: &G,
     index: &BccIndex,
     seeds: &[VertexId],
     floors: &[(Label, u32)],
     eta: usize,
 ) -> Vec<VertexId> {
-    let graph = view.graph();
     let floor_of = |v: VertexId| -> Option<u32> {
         floors
             .iter()
@@ -213,7 +214,7 @@ pub fn expand_candidate(
     let mut queue = std::collections::VecDeque::new();
     let mut out = Vec::new();
     for &s in seeds {
-        if view.is_alive(s) && selected.insert(s.index()) {
+        if graph.is_alive(s) && selected.insert(s.index()) {
             queue.push_back(s);
             out.push(s);
         }
@@ -222,7 +223,7 @@ pub fn expand_candidate(
         if out.len() > eta {
             break;
         }
-        for u in view.neighbors(v) {
+        for u in graph.neighbors_iter(v) {
             if selected.contains(u.index()) {
                 continue;
             }
@@ -240,7 +241,7 @@ pub fn expand_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcc_graph::{GraphBuilder, LabeledGraph};
+    use bcc_graph::{GraphBuilder, GraphView, LabeledGraph};
 
     /// Two equal-length routes from s to t: one through a low-coreness
     /// bridge vertex w, one through a dense clique member. The weight of

@@ -137,18 +137,10 @@ impl MultiLabelBcc {
             }
         }
         let labels: Vec<_> = query.queries.iter().map(|&q| graph.label(q)).collect();
-        let full_view = GraphView::new(graph);
         let mut seeds: Vec<VertexId> = Vec::new();
         for &q in &query.queries[1..] {
-            let path = butterfly_core_path(
-                &full_view,
-                index,
-                weights,
-                query.queries[0],
-                q,
-                &labels,
-            )
-            .ok_or(SearchError::Disconnected)?;
+            let path = butterfly_core_path(graph, index, weights, query.queries[0], q, &labels)
+                .ok_or(SearchError::Disconnected)?;
             seeds.extend(path);
         }
         seeds.sort_unstable();
@@ -164,7 +156,7 @@ impl MultiLabelBcc {
                 .unwrap_or(0);
             floors.push((label, floor.max(params.ks[i])));
         }
-        let selected = expand_candidate(&full_view, index, &seeds, &floors, eta);
+        let selected = expand_candidate(graph, index, &seeds, &floors, eta);
         Ok(GraphView::from_vertices(graph, selected))
     }
 }

@@ -218,22 +218,19 @@ impl L2pBcc {
         let started = std::time::Instant::now();
         let mut stats = SearchStats::default();
         let (mquery, mparams) = to_multi(query, params);
+        for &q in &mquery.queries {
+            if q.index() >= graph.vertex_count() {
+                return Err(SearchError::QueryOutOfRange(q));
+            }
+        }
 
         // Algorithm 8 line 1: butterfly-core weighted path between queries.
-        let full_view = GraphView::new(graph);
         let (ll, lr) = (graph.label(query.ql), graph.label(query.qr));
         if ll == lr {
             return Err(SearchError::DuplicateLabels);
         }
-        let path = butterfly_core_path(
-            &full_view,
-            index,
-            self.weights,
-            query.ql,
-            query.qr,
-            &[ll, lr],
-        )
-        .ok_or(SearchError::Disconnected)?;
+        let path = butterfly_core_path(graph, index, self.weights, query.ql, query.qr, &[ll, lr])
+            .ok_or(SearchError::Disconnected)?;
 
         // Line 2: per-label coreness floors along the path.
         let kl = path
@@ -253,7 +250,7 @@ impl L2pBcc {
         let floors = vec![(ll, kl.max(mparams.ks[0])), (lr, kr.max(mparams.ks[1]))];
 
         // Line 3: expand into a candidate of ≈ η vertices.
-        let selected = expand_candidate(&full_view, index, &path, &floors, self.eta);
+        let selected = expand_candidate(graph, index, &path, &floors, self.eta);
         let local_view = GraphView::from_vertices(graph, selected);
 
         // Lines 4–5: extract the BCC inside the candidate and bulk-peel it
@@ -388,16 +385,33 @@ mod tests {
     #[test]
     fn errors_surface() {
         let (g, q) = figure1_like();
+        let index = BccIndex::build(&g);
         // Same-label queries.
         let err = OnlineBcc::default()
             .search(&g, &BccQuery::pair(q.ql, q.ql), &BccParams::new(1, 1, 1))
             .unwrap_err();
         assert_eq!(err, SearchError::DuplicateLabels);
-        // Out of range.
+        let err = L2pBcc::default()
+            .search(
+                &g,
+                &index,
+                &BccQuery::pair(q.ql, q.ql),
+                &BccParams::new(1, 1, 1),
+            )
+            .unwrap_err();
+        assert_eq!(err, SearchError::DuplicateLabels);
+        // Out of range, on either side.
+        let far = VertexId(10_000);
         let err = OnlineBcc::default()
-            .search(&g, &BccQuery::pair(q.ql, VertexId(10_000)), &BccParams::new(1, 1, 1))
+            .search(&g, &BccQuery::pair(q.ql, far), &BccParams::new(1, 1, 1))
             .unwrap_err();
         assert!(matches!(err, SearchError::QueryOutOfRange(_)));
+        for query in [BccQuery::pair(far, q.qr), BccQuery::pair(q.ql, far)] {
+            let err = L2pBcc::default()
+                .search(&g, &index, &query, &BccParams::new(1, 1, 1))
+                .unwrap_err();
+            assert_eq!(err, SearchError::QueryOutOfRange(far));
+        }
         // Impossible butterfly threshold.
         let err = OnlineBcc::default()
             .search(&g, &q, &BccParams::new(4, 3, 100))

@@ -52,6 +52,9 @@ pub trait GraphRead {
     /// Live vertices in ascending id order.
     fn vertices(&self) -> impl Iterator<Item = VertexId> + '_;
 
+    /// Whether `v` is live (one of [`GraphRead::vertices`]).
+    fn is_alive(&self, v: VertexId) -> bool;
+
     /// Live neighbors of `v` in ascending id order. Empty when `v` itself
     /// is not live.
     fn neighbors_iter(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_;
@@ -98,6 +101,11 @@ impl GraphRead for LabeledGraph {
 
     fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         LabeledGraph::vertices(self)
+    }
+
+    #[inline]
+    fn is_alive(&self, v: VertexId) -> bool {
+        v.index() < LabeledGraph::vertex_count(self)
     }
 
     #[inline]
@@ -258,6 +266,11 @@ impl GraphRead for OverlayGraph<'_> {
 
     fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.base.vertices()
+    }
+
+    #[inline]
+    fn is_alive(&self, v: VertexId) -> bool {
+        GraphRead::is_alive(self.base, v)
     }
 
     #[inline]

@@ -279,6 +279,11 @@ impl<G: GraphRead> GraphRead for GraphView<'_, G> {
         self.alive_vertices()
     }
 
+    #[inline]
+    fn is_alive(&self, v: VertexId) -> bool {
+        GraphView::is_alive(self, v)
+    }
+
     fn neighbors_iter(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         // Dead-safe: a dead vertex has no live neighbors (and its base
         // adjacency is never scanned).
@@ -404,6 +409,8 @@ mod tests {
         assert_eq!(GraphRead::neighbors_iter(&view, VertexId(1)).count(), 0);
         assert_eq!(GraphRead::vertices(&view).count(), 3);
         assert!(!GraphRead::has_edge(&view, VertexId(0), VertexId(1)));
+        assert!(!GraphRead::is_alive(&view, VertexId(1)));
+        assert!(GraphRead::is_alive(&view, VertexId(2)));
         assert!(GraphRead::has_edge(&view, VertexId(2), VertexId(3)));
         assert_eq!(GraphRead::vertex_count(&view), 4, "id space keeps dead ids");
     }

@@ -86,7 +86,6 @@ pub use response::{
 pub use server::{Admission, AdmissionPermit, AdmitError, Server, ServerConfig, ServerHandle};
 pub use service::{
     BccService, LineOutcome, Pending, ServiceConfig, ServiceStats, TransportCounters,
-    QUERY_THREADS_AUTO,
 };
 pub use session::{session_error_json, SeqPolicy, Session, SessionConfig, SessionEnd};
 

@@ -39,18 +39,6 @@ use crate::response::{
 };
 use crate::scatter::{self, PairJob, PairSource, ScatterWait};
 
-/// `query_threads` sentinel: resolve the per-query thread count
-/// adaptively, per query — sequential on graphs below
-/// [`ADAPTIVE_PARALLEL_MIN_VERTICES`] (where stage-parallel overhead
-/// dominates), one thread per core at or above it.
-pub const QUERY_THREADS_AUTO: usize = usize::MAX;
-
-/// The adaptive cutover: graphs with at least this many vertices get
-/// parallel per-query stages under [`QUERY_THREADS_AUTO`]. Chosen from the
-/// PR-8 measurements — below a few tens of thousands of vertices the
-/// frontier/peel chunks are too small to amortize thread handoff.
-const ADAPTIVE_PARALLEL_MIN_VERTICES: usize = 1 << 15;
-
 /// Bounded gather-side re-execution of a scatter pair that failed
 /// internally (worker panic, injected fault): up to this many retries,
 /// with 1 ms / 2 ms backoff, always inside the request's deadline budget.
@@ -90,12 +78,10 @@ pub struct ServiceConfig {
     /// stderr) when metrics are enabled. 0 flags everything measurable.
     pub slow_query_ms: u64,
     /// Worker threads *inside* each search's stages (BFS distances,
-    /// label-core reduction, butterfly recounts): `1` keeps queries
-    /// sequential — the pool already parallelizes *across* queries —
-    /// while `> 1` (or `0`, all cores) cuts single-query latency on big
-    /// graphs. The default, [`QUERY_THREADS_AUTO`], picks per query:
-    /// sequential below the adaptive vertex threshold, all cores at or
-    /// above it. Responses are byte-identical at every setting.
+    /// label-core reduction, butterfly recounts). The default, `1`, runs
+    /// each search on its worker's own thread — the pool already
+    /// parallelizes *across* queries; `> 1` (or `0`, all cores) opts into
+    /// the parallel stages. Responses are byte-identical at every setting.
     pub query_threads: usize,
     /// Deterministic fault-injection rules, one spec per entry
     /// (`<site>:<action>[:<from>[:<count>]]` — see [`FaultPlan::parse`]).
@@ -122,7 +108,7 @@ impl Default for ServiceConfig {
             index_threads: 0,
             metrics: true,
             slow_query_ms: 250,
-            query_threads: QUERY_THREADS_AUTO,
+            query_threads: 1,
             faults: Vec::new(),
             breaker_threshold: 5,
             breaker_cooldown_ms: 250,
@@ -1514,22 +1500,6 @@ fn job_error(err: JobError) -> RequestError {
     }
 }
 
-/// Resolves the [`QUERY_THREADS_AUTO`] sentinel per query: sequential on
-/// graphs too small to amortize stage-parallel thread handoff, one thread
-/// per core at or above the cutover. Explicit settings pass through —
-/// `query_threads: 1` remains the exact reference configuration. Every
-/// setting produces byte-identical responses; only wall time moves.
-fn effective_query_threads(configured: usize, graph: &LabeledGraph) -> usize {
-    if configured != QUERY_THREADS_AUTO {
-        return configured;
-    }
-    if graph.vertex_count() >= ADAPTIVE_PARALLEL_MIN_VERTICES {
-        0
-    } else {
-        1
-    }
-}
-
 /// Runs one search on a worker thread and (when `cache_insert` is set)
 /// populates the cache. Requests whose deadline already passed are dropped
 /// without executing (their waiter has moved on; starting the search would
@@ -1576,12 +1546,11 @@ fn execute(
     }
     let started = Instant::now();
     let graph = entry.graph();
-    let query_threads = effective_query_threads(shared.query_threads, graph);
     let result = if normalized.multi {
         let query = MbccQuery::new(normalized.vertices.clone());
         let params = MbccParams::new(normalized.ks.clone(), normalized.b);
         let searcher = MultiLabelBcc::with_strategy(method.multi_strategy())
-            .with_query_threads(query_threads);
+            .with_query_threads(shared.query_threads);
         let index = match method {
             Method::L2p => Some(&entry.index().index),
             _ => None,
@@ -1592,13 +1561,13 @@ fn execute(
         let params = BccParams::new(normalized.ks[0], normalized.ks[1], normalized.b);
         match method {
             Method::Online => OnlineBcc::default()
-                .with_query_threads(query_threads)
+                .with_query_threads(shared.query_threads)
                 .search(graph, &query, &params),
             Method::Lp => LpBcc::default()
-                .with_query_threads(query_threads)
+                .with_query_threads(shared.query_threads)
                 .search(graph, &query, &params),
             Method::L2p => L2pBcc::default()
-                .with_query_threads(query_threads)
+                .with_query_threads(shared.query_threads)
                 .search(graph, &entry.index().index, &query, &params),
         }
     };
