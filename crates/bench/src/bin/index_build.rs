@@ -21,10 +21,10 @@
 //!    (`BccIndex::build_reference`), and every parallel build must strictly
 //!    beat the 1-thread build — asserted only when the machine actually has
 //!    ≥ 2 cores (a 1-core box cannot exhibit parallel speedup; the check is
-//!    then reported as skipped). The workspace's vendored `rayon` is a
-//!    sequential shim, which is exactly why the build uses hand-rolled
-//!    `std::thread::scope` workers — this benchmark is the proof that they
-//!    actually run in parallel.
+//!    then reported as skipped). The build uses hand-rolled
+//!    `std::thread::scope` workers (the workspace has no thread-pool
+//!    crate) — this benchmark is the proof that they actually run in
+//!    parallel.
 
 use std::time::{Duration, Instant};
 

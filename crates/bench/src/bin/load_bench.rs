@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p bcc-bench --bin load_bench -- \
-//!     [--scale 0.3] [--queries 32] [--clients 8] [--shards 1,2,4] \
-//!     [--out load_bench.json]
+//!     [--scale 0.3] [--queries 32] [--clients 8] [--out load_bench.json]
 //! ```
 //!
 //! Phase 1 drives one client over the line codec; phase 2 drives
@@ -26,9 +25,6 @@
 //! * the query-thread sweep — the same single-client workload forced to
 //!   method=online with `query_threads` 1 vs 0 (all cores) — must run
 //!   strictly faster parallel than sequential (same SKIP rule);
-//! * the shard sweep — an msearch-heavy workload replayed at each
-//!   `--shards` count — must not run slower on its best multi-shard
-//!   configuration than on the single pool (same SKIP rule);
 //! * the chaos phase — a canned fault plan panics the first four pool
 //!   executions — must surface each injected panic as a structured
 //!   internal error and then serve the whole workload on a full-width
@@ -145,12 +141,10 @@ fn run_phase(
     client_lines: &[Vec<String>],
     metrics: bool,
     query_threads: usize,
-    shards: usize,
     faults: &[String],
 ) -> BenchPhase {
     let service = Arc::new(BccService::with_graph(
         ServiceConfig {
-            shards,
             workers: 0,
             cache_capacity: 4096,
             metrics,
@@ -230,17 +224,17 @@ fn main() {
     let total: usize = all_lines.iter().map(Vec::len).sum();
     eprintln!("workload: {clients} clients, {total} distinct query lines total");
 
-    let single = run_phase("1 client", &net.graph, &all_lines[..1], true, 1, 1, &[]);
+    let single = run_phase("1 client", &net.graph, &all_lines[..1], true, 1, &[]);
     // Same N-client workload twice: metrics tier off (the baseline), then
     // on — the pair the ≤5% overhead gate compares.
-    let multi_off = run_phase("N clients, metrics off", &net.graph, &all_lines, false, 1, 1, &[]);
-    let multi = run_phase("N clients", &net.graph, &all_lines, true, 1, 1, &[]);
+    let multi_off = run_phase("N clients, metrics off", &net.graph, &all_lines, false, 1, &[]);
+    let multi = run_phase("N clients", &net.graph, &all_lines, true, 1, &[]);
     // The same workload with a fault plan armed but never firing (the
     // selected match is astronomically far away): the injection hooks on
     // the hot path must cost nothing measurable — the ≤2% gate below.
     let armed_plan = vec!["worker_execute:panic:1000000000".to_string()];
     let multi_armed =
-        run_phase("N clients, faults armed", &net.graph, &all_lines, true, 1, 1, &armed_plan);
+        run_phase("N clients, faults armed", &net.graph, &all_lines, true, 1, &armed_plan);
 
     // Query-thread sweep: one client, the whole workload, with the stages
     // *inside* each search sequential vs parallel (`--query-threads 0` ⇒
@@ -255,44 +249,8 @@ fn main() {
             format!("{base} method=online")
         })
         .collect()];
-    let qt_seq = run_phase("1 client, query-threads 1", &net.graph, &sweep_lines, true, 1, 1, &[]);
-    let qt_par = run_phase("1 client, query-threads 0", &net.graph, &sweep_lines, true, 0, 1, &[]);
-
-    // Shard sweep: the same N clients, but an msearch-heavy workload whose
-    // m=3 queries scatter their label-pair sub-queries across shards via
-    // `route_pair` — the only serving path where shard count changes which
-    // pool runs what (plain searches on one graph all route to its home
-    // shard). Responses are byte-identical at every shard count; only the
-    // throughput may move.
-    let shard_counts: Vec<usize> = args
-        .get("shards", "1,2,4".to_string())
-        .split(',')
-        .map(|s| s.trim().parse().expect("--shards takes a comma-separated list of integers"))
-        .collect();
-    let shard_lines: Vec<Vec<String>> = (0..clients)
-        .map(|i| {
-            let qs = queries::random_community_queries(
-                &net,
-                per_client,
-                QueryConstraints { degree_rank: 0, inter_distance: None },
-                0xD1CE + i as u64,
-            );
-            qs.chunks(2)
-                .filter(|c| c.len() == 2)
-                .map(|c| {
-                    (c[0].vertices[0].0, c[0].vertices[1].0, c[1].vertices[0].0)
-                })
-                .filter(|(a, b, c)| a != b && a != c && b != c)
-                .map(|(a, b, c)| format!("msearch q={a},{b},{c} k=2 b=1"))
-                .collect()
-        })
-        .collect();
-    let shard_runs: Vec<(usize, BenchPhase)> = shard_counts
-        .iter()
-        .map(|&n| {
-            (n, run_phase(&format!("N clients, shards={n}"), &net.graph, &shard_lines, true, 1, n, &[]))
-        })
-        .collect();
+    let qt_seq = run_phase("1 client, query-threads 1", &net.graph, &sweep_lines, true, 1, &[]);
+    let qt_par = run_phase("1 client, query-threads 0", &net.graph, &sweep_lines, true, 0, &[]);
 
     // Overload phase: a depth-0 queue whose only slot is held externally —
     // every request must be rejected, structurally, immediately.
@@ -383,10 +341,9 @@ fn main() {
         chaos_stats.worker_panics, chaos_faults as u64,
         "INVARIANT VIOLATED: every injected panic is counted contained"
     );
-    assert!(
-        chaos_stats.shards.iter().all(|s| s.workers == 2),
-        "INVARIANT VIOLATED: pool capacity decayed after contained panics: {:?}",
-        chaos_stats.shards.iter().map(|s| s.workers).collect::<Vec<_>>()
+    assert_eq!(
+        chaos_stats.workers, 2,
+        "INVARIANT VIOLATED: pool capacity decayed after contained panics"
     );
     println!(
         "chaos: {chaos_faults} injected worker panics contained, {} requests \
@@ -406,11 +363,7 @@ fn main() {
             "p99 ms".into(),
         ],
     );
-    let sweep_phases: Vec<&BenchPhase> = shard_runs.iter().map(|(_, p)| p).collect();
-    for phase in [&single, &multi_off, &multi, &multi_armed, &qt_seq, &qt_par]
-        .into_iter()
-        .chain(sweep_phases.iter().copied())
-    {
+    for phase in [&single, &multi_off, &multi, &multi_armed, &qt_seq, &qt_par] {
         table.push_row(vec![
             phase.label.clone(),
             phase.clients.to_string(),
@@ -521,39 +474,10 @@ fn main() {
             qt_par.qps / qt_seq.qps
         );
     }
-    // Shard gate: the best multi-shard run must not lose to the single
-    // pool — scatter-gather overhead has to pay for itself once the pair
-    // sub-queries actually run on different cores.
-    let single_pool = shard_runs.iter().find(|(n, _)| *n == 1).map(|(_, p)| p);
-    let best_sharded = shard_runs
-        .iter()
-        .filter(|(n, _)| *n > 1)
-        .max_by(|a, b| a.1.qps.total_cmp(&b.1.qps));
-    if cores < 2 {
-        println!(
-            "shard-sweep gate SKIPPED: {cores} core(s) available — extra worker \
-             pools cannot outrun one pool without parallelism"
-        );
-    } else if let (Some(single_pool), Some((n, best))) = (single_pool, best_sharded) {
-        assert!(
-            best.qps >= single_pool.qps,
-            "INVARIANT VIOLATED: best sharded throughput (shards={n}, {:.0} q/s) \
-             fell below the single pool ({:.0} q/s) on a {cores}-core machine",
-            best.qps,
-            single_pool.qps
-        );
-        println!(
-            "shard sweep: shards={n} {:.0} q/s vs single pool {:.0} q/s ({:.2}x)",
-            best.qps,
-            single_pool.qps,
-            best.qps / single_pool.qps
-        );
-    }
-
     if let Some(path) = out_path {
         std::fs::write(
             &path,
-            summary_json(&table, &single, &multi_off, &multi, &multi_armed, &qt_seq, &qt_par, &shard_runs, cores),
+            summary_json(&table, &single, &multi_off, &multi, &multi_armed, &qt_seq, &qt_par, cores),
         )
         .expect("write JSON summary");
         eprintln!("wrote JSON summary to {path}");
@@ -576,7 +500,6 @@ fn summary_json(
     multi_armed: &BenchPhase,
     qt_seq: &BenchPhase,
     qt_par: &BenchPhase,
-    shard_runs: &[(usize, BenchPhase)],
     cores: usize,
 ) -> String {
     let hist = |snap: &HistogramSnapshot| {
@@ -603,23 +526,10 @@ fn summary_json(
             breakdown
         )
     };
-    let shard_sweep = shard_runs
-        .iter()
-        .map(|(n, p)| format!("{{\"shards\":{n},\"phase\":{}}}", phase_json(p)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let single_pool_qps =
-        shard_runs.iter().find(|(n, _)| *n == 1).map(|(_, p)| p.qps).unwrap_or(0.0);
-    let best_sharded_qps = shard_runs
-        .iter()
-        .filter(|(n, _)| *n > 1)
-        .map(|(_, p)| p.qps)
-        .fold(0.0f64, f64::max);
     format!(
         "{{\"table\":{},\"phases\":{{\"single\":{},\"multi_metrics_off\":{},\"multi\":{},\
          \"multi_faults_armed\":{}}},\
          \"query_thread_sweep\":{{\"cores\":{cores},\"sequential\":{},\"parallel\":{},\
-         \"speedup\":{:.3}}},\"shard_sweep\":{{\"cores\":{cores},\"runs\":[{}],\
          \"speedup\":{:.3}}}}}\n",
         table.to_json(),
         phase_json(single),
@@ -629,7 +539,5 @@ fn summary_json(
         phase_json(qt_seq),
         phase_json(qt_par),
         qt_par.qps / qt_seq.qps.max(1e-9),
-        shard_sweep,
-        best_sharded_qps / single_pool_qps.max(1e-9),
     )
 }

@@ -3,9 +3,8 @@
 //! Every `src/bin/*` binary reproduces one table or figure of the paper's
 //! Section 8. This library holds the common machinery: network
 //! preparation (graph + all indices), the five evaluated methods (PSA, CTC,
-//! Online-BCC, LP-BCC, L2P-BCC), the per-query runner, and rayon-parallel
-//! workload evaluation (parallelism is across queries — per-query latency
-//! is measured inside the worker, so the reported numbers are
+//! Online-BCC, LP-BCC, L2P-BCC), the per-query runner, and workload
+//! evaluation (queries run one after another, so the reported numbers are
 //! single-threaded latencies, as in the paper).
 
 use std::time::{Duration, Instant};
@@ -19,7 +18,6 @@ use bcc_datasets::queries::CommunityQuery;
 use bcc_datasets::{NetworkSpec, PlantedNetwork};
 use bcc_eval::MethodAggregate;
 use bcc_graph::{GraphView, VertexId};
-use rayon::prelude::*;
 
 /// The five evaluated methods, in the paper's legend order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -256,7 +254,7 @@ pub fn evaluate_method(
     multi_label: bool,
 ) -> (MethodAggregate, SearchStats) {
     let partials: Vec<(MethodAggregate, SearchStats)> = queries
-        .par_iter()
+        .iter()
         .map(|q| {
             let outcome = if multi_label {
                 run_mbcc_query(prepared, method, q)

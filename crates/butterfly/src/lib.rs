@@ -13,9 +13,7 @@
 //! * [`update`] — Algorithm 7, the O(d²) butterfly-degree *update* for a
 //!   leader vertex when a single vertex is deleted;
 //! * [`leader`] — Algorithm 6, leader-pair identification by binary search
-//!   over the butterfly-degree threshold within ρ hops of a query vertex;
-//! * [`approx`] — randomized estimators (pair sampling, edge
-//!   sparsification) in the style of Sanei-Mehri et al. [32].
+//!   over the butterfly-degree threshold within ρ hops of a query vertex.
 //!
 //! ```
 //! use bcc_graph::{GraphBuilder, GraphView};
@@ -39,13 +37,11 @@
 //! assert!(counts.satisfies_leader_condition(1));
 //! ```
 
-pub mod approx;
 pub mod bipartite;
 pub mod counting;
 pub mod leader;
 pub mod update;
 
-pub use approx::{approx_total_butterflies_espar, approx_total_butterflies_pairs};
 pub use bipartite::BipartiteCross;
 pub use counting::{
     brute_force_butterfly_degrees, butterfly_degree_of, butterfly_degree_of_with,

@@ -4,7 +4,7 @@
 //! bcc stats    <graph-file>
 //! bcc search   <graph-file> --ql <name|id> --qr <name|id> [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p] [--query-threads N]
 //! bcc msearch  <graph-file> --q <name|id> --q <name|id> --q ... [--k N] [--b N] [--method online|lp|l2p] [--query-threads N]
-//! bcc serve    <graph-file> [--shards N] [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N]
+//! bcc serve    <graph-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N]
 //! bcc listen   <graph-file> <addr> [--max-conns N] [--queue-depth N] [--timeout-ms N]
 //! bcc batch    <graph-file> <queries-file> [--workers N] [--cache N] [--name NAME] [--index-threads N] [--query-threads N]
 //! bcc generate <output-file> [--network baidu1|baidu2|amazon|dblp|youtube|livejournal|orkut] [--scale F]
@@ -48,9 +48,9 @@ const USAGE: &str = "usage:
   bcc stats    <graph-file>
   bcc search   <graph-file> --ql <name|id> --qr <name|id> [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p] [--index-threads N] [--query-threads N]
   bcc msearch  <graph-file> --q <name|id> --q <name|id> [--q ...] [--k N] [--b N] [--method online|lp|l2p] [--index-threads N] [--query-threads N]
-  bcc serve    <graph-file> [--shards N] [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N] [--no-metrics] [--slow-query-ms N] [--fault SPEC]... [--breaker-threshold N] [--breaker-cooldown-ms N]
+  bcc serve    <graph-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N] [--no-metrics] [--slow-query-ms N] [--fault SPEC]...
   bcc listen   <graph-file> <addr> [--max-conns N] [--queue-depth N] [--timeout-ms N] [--metrics-addr ADDR] [serve flags]
-  bcc batch    <graph-file> <queries-file> [--shards N] [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N] [--no-metrics] [--slow-query-ms N] [--fault SPEC]... [--breaker-threshold N] [--breaker-cooldown-ms N]
+  bcc batch    <graph-file> <queries-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N] [--no-metrics] [--slow-query-ms N] [--fault SPEC]...
   bcc generate <output-file> [--network dblp] [--scale 1.0]
   bcc case     <flight|trade|fiction|academic> [--out FILE]
 
@@ -65,22 +65,20 @@ core). The default, 1, runs each search sequentially on one thread; the
 serving commands already run queries side by side on their workers.
 Results and responses are bit-identical at any setting.
 
---shards splits the serving commands into N independent worker pools
-(default 1). A routing table pins each graph to a shard by name; `shard
-assign <graph> <id>` overrides the default hash placement and `shard list`
-shows the topology. An `msearch` of more than two vertices scatters its
-label-pair sub-queries across the owning shards and gathers them into one
-response — responses stay byte-identical at any shard count. --cache-weight-cap
-bounds the result cache by total community members instead of entry count
-(0 = entry-count only).
+--workers sizes the serving commands' one worker pool (0 = one thread per
+core, the default). An `msearch` of more than two vertices submits its
+label-pair sub-queries to the pool next to the full multi-label search and
+gathers them into one response — responses stay byte-identical at any
+worker count. --cache-weight-cap bounds the result cache by total community
+members instead of entry count (0 = entry-count only). The serving commands
+reject any flag they do not know.
 
 serve reads `search ql=<v> qr=<v> [k1=N] [k2=N] [b=N] [method=...]` /
 `msearch q=<v>,<v>,...` / `add_edge u=<v> v=<v>` / `remove_edge u=<v> v=<v>` /
-`commit` / `stats` / `graphs` / `metrics` / `shard list` /
-`shard assign <graph> <id>` / `quit` lines from stdin and prints one JSON
-result line per request; batch runs a file of such lines concurrently and
-prints results in input order. add_edge/remove_edge stage live edge
-updates; commit applies them, patching the BCindex in place and
+`commit` / `stats` / `graphs` / `metrics` / `quit` lines from stdin and
+prints one JSON result line per request; batch runs a file of such lines
+concurrently and prints results in input order. add_edge/remove_edge stage
+live edge updates; commit applies them, patching the BCindex in place and
 invalidating only the affected cache entries.
 
 Observability: per-verb latency histograms, per-phase query/commit timings,
@@ -106,11 +104,8 @@ cache_invalidate, query_dist_expand, query_dist_merge) or a transport site
 (codec_decode, admission, worker_execute, scatter_pair). The Nth..N+count-1th
 matches at the site fire; everything else is untouched. Worker panics are
 contained (a structured `internal` error; the worker is respawned so pool
-capacity never decays). --breaker-threshold (default 5, 0 disables) opens a
-per-shard circuit breaker after that many consecutive failures — an open
-shard's scatter sub-queries are rerouted to the home shard, with half-open
-probes after --breaker-cooldown-ms (default 250). Breaker state appears in
-`shard list` and `stats`.";
+capacity never decays). A scatter pair sub-query that fails internally is
+retried up to twice inside the request's deadline.";
 
 fn run(args: &[String]) -> Result<(), String> {
     let command = args.first().ok_or("missing command")?;
@@ -142,6 +137,41 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
+}
+
+/// The value flags every serving command (`serve`, `batch`, `listen`)
+/// accepts; `--no-metrics` is their one bare flag.
+const SERVICE_FLAGS: [&str; 8] = [
+    "--workers",
+    "--cache",
+    "--cache-weight-cap",
+    "--name",
+    "--index-threads",
+    "--query-threads",
+    "--slow-query-ms",
+    "--fault",
+];
+
+/// `listen`'s own value flags, on top of [`SERVICE_FLAGS`].
+const LISTEN_FLAGS: [&str; 4] = ["--max-conns", "--queue-depth", "--timeout-ms", "--metrics-addr"];
+
+/// Rejects a serving command's `--flag` that is neither a service flag nor
+/// in `extra`, and a value flag with no value after it. Positional
+/// arguments pass, and so does the value after each known flag.
+fn check_flags(args: &[String], extra: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") || arg == "--no-metrics" {
+            continue;
+        }
+        if !SERVICE_FLAGS.contains(&arg.as_str()) && !extra.contains(&arg.as_str()) {
+            return Err(format!("unknown flag `{arg}` for `{}`", args[0]));
+        }
+        if rest.next().is_none() {
+            return Err(format!("{arg} expects a value"));
+        }
+    }
+    Ok(())
 }
 
 /// The shared `--index-threads` knob (0 ⇒ one per available core): how
@@ -360,10 +390,6 @@ fn start_service(args: &[String]) -> Result<BccService, String> {
         .unwrap_or("default")
         .to_string();
     let config = ServiceConfig {
-        shards: flag_value(args, "--shards")
-            .map(|s| s.parse().map_err(|_| "--shards must be an integer"))
-            .transpose()?
-            .unwrap_or(1),
         workers: flag_value(args, "--workers")
             .map(|w| w.parse().map_err(|_| "--workers must be an integer"))
             .transpose()?
@@ -386,14 +412,6 @@ fn start_service(args: &[String]) -> Result<BccService, String> {
             .unwrap_or(250),
         query_threads: query_threads(args)?,
         faults: fault_specs(args)?,
-        breaker_threshold: flag_value(args, "--breaker-threshold")
-            .map(|t| t.parse().map_err(|_| "--breaker-threshold must be an integer"))
-            .transpose()?
-            .unwrap_or(5),
-        breaker_cooldown_ms: flag_value(args, "--breaker-cooldown-ms")
-            .map(|t| t.parse().map_err(|_| "--breaker-cooldown-ms must be an integer"))
-            .transpose()?
-            .unwrap_or(250),
     };
     let service = BccService::with_graph(config, graph);
     // Banner on stderr: stdout carries only protocol responses.
@@ -402,19 +420,19 @@ fn start_service(args: &[String]) -> Result<BccService, String> {
         .get(&service.config().default_graph)
         .expect("default graph was just registered");
     eprintln!(
-        "serving `{}` ({} vertices, {} edges, {} labels) with {} shards × {} workers, cache {}",
+        "serving `{}` ({} vertices, {} edges, {} labels) with {} workers, cache {}",
         entry.name(),
         entry.graph().vertex_count(),
         entry.graph().edge_count(),
         entry.graph().label_count(),
-        service.shard_map().shard_count(),
-        service.shard_map().shard(0).pool().workers(),
+        service.workers(),
         service.config().cache_capacity,
     );
     Ok(service)
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[])?;
     let service = start_service(args)?;
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -424,6 +442,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 }
 
 fn listen(args: &[String]) -> Result<(), String> {
+    check_flags(args, &LISTEN_FLAGS)?;
     // `listen <graph-file> <addr>`: the graph file rides in the same slot
     // as serve's, so `start_service` applies unchanged.
     let addr = args.get(2).ok_or("missing listen address (e.g. 127.0.0.1:7447)")?;
@@ -500,6 +519,7 @@ fn spawn_metrics_exporter(
 }
 
 fn batch(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[])?;
     let queries_path = args.get(2).ok_or("missing queries file")?;
     let lines: Vec<String> = std::fs::read_to_string(queries_path)
         .map_err(|e| format!("{queries_path}: {e}"))?

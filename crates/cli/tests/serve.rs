@@ -194,3 +194,72 @@ fn batch_runs_a_query_file_in_order() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs `bcc <args>` with stdin closed and returns its output, killing the
+/// process if it has not exited within 30 s (a `listen` that wrongly
+/// accepted its flags would otherwise serve forever).
+fn run_to_exit(args: &[&str]) -> std::process::Output {
+    let mut child = Command::new(BIN)
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bcc");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().expect("poll bcc").is_none() {
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("`bcc {args:?}` did not exit");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect output")
+}
+
+#[test]
+fn serving_commands_reject_unknown_flags() {
+    let dir = temp_dir("flags");
+    let graph = graph_file(&dir);
+    let graph = graph.to_str().expect("utf8 temp path");
+    let queries = dir.join("queries.txt");
+    std::fs::write(&queries, "search ql=l0 qr=r0\n").expect("write queries");
+    let queries = queries.to_str().expect("utf8 temp path");
+
+    // A removed flag and a typo of a known one: both are errors naming the
+    // flag, never silently ignored.
+    for positional in [
+        vec!["serve", graph],
+        vec!["batch", graph, queries],
+        vec!["listen", graph, "127.0.0.1:0"],
+    ] {
+        for flag in ["--shards", "--wokers"] {
+            let mut args = positional.clone();
+            args.extend(["--workers", "2", flag, "2"]);
+            let output = run_to_exit(&args);
+            assert_eq!(output.status.code(), Some(1), "`{args:?}` must fail");
+            let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
+            assert!(
+                stderr.contains(&format!("unknown flag `{flag}`")),
+                "`{args:?}` must name the flag: {stderr}"
+            );
+        }
+    }
+
+    // Known flags (bare and valued) and positionals are still accepted.
+    let output = run_to_exit(&[
+        "batch",
+        graph,
+        queries,
+        "--no-metrics",
+        "--workers",
+        "1",
+        "--fault",
+        "worker_execute:delay1ms:1:1",
+    ]);
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let stdout = String::from_utf8(output.stdout).expect("utf8 stdout");
+    assert!(stdout.contains("\"ok\":true"), "{stdout}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

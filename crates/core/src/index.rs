@@ -64,10 +64,9 @@ impl BccIndex {
     /// count produces a **bit-identical** index (pinned by the test suite
     /// and the `index_build` benchmark).
     ///
-    /// This is hand-rolled `std::thread` parallelism on purpose: the
-    /// workspace builds offline, so its `rayon` is the sequential shim
-    /// under `vendor/` — routing the build through `par_iter()` would
-    /// silently run on one core.
+    /// This is hand-rolled `std::thread` parallelism: the workspace builds
+    /// offline with no thread-pool crate, so the build drives its own
+    /// `std::thread::scope` workers.
     pub fn build_with_threads(graph: &LabeledGraph, threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())

@@ -18,17 +18,15 @@
 //! measures within noise of a build with no fault layer at all (gated in
 //! `load_bench`).
 //!
-//! The same module hosts the containment-side primitives the plan exists
-//! to exercise: [`Breaker`], the per-shard circuit breaker that trips
-//! after consecutive sub-query failures and reroutes an open shard's work
-//! to the home shard until a half-open probe heals it, and
-//! [`lock_unpoisoned`], the crate-wide mutex discipline — a panicking
-//! lock holder must never wedge the service, so every shared-state lock
-//! recovers the guard from a poisoned mutex instead of unwrapping.
+//! The same module hosts the containment-side primitive the plan exists
+//! to exercise: [`lock_unpoisoned`], the crate-wide mutex discipline — a
+//! panicking lock holder must never wedge the service, so every
+//! shared-state lock recovers the guard from a poisoned mutex instead of
+//! unwrapping.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bcc_obs::Phase;
 
@@ -67,11 +65,11 @@ pub enum FaultSite {
     Phase(Phase),
     /// A session decoded one request payload (before dispatch).
     CodecDecode,
-    /// A query is about to ask its shard's admission gate for a permit.
+    /// A query is about to ask the admission gate for a permit.
     Admission,
     /// A worker picked the job up and is about to run the search.
     WorkerExecute,
-    /// A scatter pair sub-query is executing on its owning shard.
+    /// A scatter pair sub-query is executing on the worker pool.
     ScatterPair,
 }
 
@@ -267,144 +265,6 @@ fn parse_action(token: &str) -> Option<FaultAction> {
     }
 }
 
-/// A circuit breaker's externally visible state (rendered in `shard list`
-/// and Prometheus).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: everything routes normally.
-    #[default]
-    Closed,
-    /// Tripped: work is rerouted away until the cooldown elapses.
-    Open,
-    /// One probe is in flight; its outcome closes or re-opens the breaker.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable lowercase name (`shard list` JSON, Prometheus labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
-
-    /// Dense code for the Prometheus state gauge (0/1/2).
-    pub fn code(self) -> u64 {
-        match self {
-            BreakerState::Closed => 0,
-            BreakerState::Open => 1,
-            BreakerState::HalfOpen => 2,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct BreakerInner {
-    /// Consecutive failures while closed (reset by any success).
-    consecutive: u32,
-    /// When the breaker opened; `None` ⇔ closed.
-    opened_at: Option<Instant>,
-    /// A half-open probe is in flight (admitted, outcome not yet recorded).
-    probing: bool,
-}
-
-/// A per-shard circuit breaker over scatter sub-query outcomes.
-///
-/// Closed until `threshold` *consecutive* transient failures (timeouts,
-/// worker deaths) are recorded; open for at least `cooldown`, during which
-/// [`Breaker::allow`] refuses (callers reroute the work); then one probe
-/// is admitted half-open — success closes the breaker, failure re-opens it
-/// for another cooldown. `threshold == 0` disables the breaker entirely
-/// (always closed, never trips).
-#[derive(Debug)]
-pub struct Breaker {
-    threshold: u32,
-    cooldown: Duration,
-    state: Mutex<BreakerInner>,
-    opens: AtomicU64,
-}
-
-impl Breaker {
-    /// A breaker tripping after `threshold` consecutive failures and
-    /// cooling down for `cooldown` before each half-open probe.
-    pub fn new(threshold: u32, cooldown: Duration) -> Self {
-        Breaker {
-            threshold,
-            cooldown,
-            state: Mutex::new(BreakerInner::default()),
-            opens: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether new work may route here. Open + cooldown elapsed admits
-    /// exactly one half-open probe (subsequent calls refuse until its
-    /// outcome is recorded).
-    pub fn allow(&self) -> bool {
-        if self.threshold == 0 {
-            return true;
-        }
-        let mut inner = lock_unpoisoned(&self.state);
-        let Some(opened_at) = inner.opened_at else { return true };
-        if inner.probing || opened_at.elapsed() < self.cooldown {
-            return false;
-        }
-        inner.probing = true;
-        true
-    }
-
-    /// Records a successful outcome: closes the breaker (probe success)
-    /// and clears the consecutive-failure run.
-    pub fn record_success(&self) {
-        if self.threshold == 0 {
-            return;
-        }
-        let mut inner = lock_unpoisoned(&self.state);
-        inner.consecutive = 0;
-        inner.opened_at = None;
-        inner.probing = false;
-    }
-
-    /// Records a transient failure: trips the breaker at `threshold`
-    /// consecutive failures, and re-opens (restarting the cooldown) when a
-    /// half-open probe fails.
-    pub fn record_failure(&self) {
-        if self.threshold == 0 {
-            return;
-        }
-        let mut inner = lock_unpoisoned(&self.state);
-        if inner.opened_at.is_some() {
-            // Open already: a probe failed (or a straggler from before the
-            // trip landed) — restart the cooldown, drop the probe claim.
-            inner.opened_at = Some(Instant::now());
-            inner.probing = false;
-            return;
-        }
-        inner.consecutive += 1;
-        if inner.consecutive >= self.threshold {
-            inner.opened_at = Some(Instant::now());
-            inner.probing = false;
-            self.opens.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The current state (probe in flight ⇒ half-open).
-    pub fn state(&self) -> BreakerState {
-        let inner = lock_unpoisoned(&self.state);
-        match (inner.opened_at.is_some(), inner.probing) {
-            (false, _) => BreakerState::Closed,
-            (true, true) => BreakerState::HalfOpen,
-            (true, false) => BreakerState::Open,
-        }
-    }
-
-    /// Times the breaker tripped closed → open (lifetime counter).
-    pub fn opens(&self) -> u64 {
-        self.opens.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,52 +344,6 @@ mod tests {
             assert!(!plan.perturb(site));
         }
         assert_eq!(plan.injected(), 0);
-    }
-
-    #[test]
-    fn breaker_opens_after_consecutive_failures_and_probes_half_open() {
-        let b = Breaker::new(3, Duration::from_millis(0));
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.record_failure();
-        b.record_failure();
-        b.record_success(); // breaks the run
-        b.record_failure();
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.record_failure(); // third consecutive → trip
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.opens(), 1);
-        // Zero cooldown: the next allow() admits exactly one probe.
-        assert!(b.allow());
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.allow(), "only one probe at a time");
-        b.record_failure(); // probe fails → open again, cooldown restarts
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.allow());
-        b.record_success(); // probe succeeds → closed
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow());
-        assert_eq!(b.opens(), 1, "re-open from half-open is not a new trip");
-    }
-
-    #[test]
-    fn breaker_cooldown_blocks_probes_until_elapsed() {
-        let b = Breaker::new(1, Duration::from_secs(3600));
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow(), "cooldown far in the future: no probe");
-        assert_eq!(b.state(), BreakerState::Open);
-    }
-
-    #[test]
-    fn zero_threshold_disables_the_breaker() {
-        let b = Breaker::new(0, Duration::from_millis(1));
-        for _ in 0..100 {
-            b.record_failure();
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow());
-        assert_eq!(b.opens(), 0);
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub mod cache;
 pub mod codec;
 pub mod fault;
 pub mod metrics;
-pub mod placement;
 pub mod pool;
 pub mod registry;
 pub mod request;
@@ -69,16 +68,13 @@ pub mod session;
 
 pub use cache::{CacheCounters, LruCache};
 pub use codec::{codec_for, BinaryCodec, Codec, CodecError, CodecKind, LineCodec, MAX_FRAME_LEN};
-pub use fault::{
-    lock_unpoisoned, Breaker, BreakerState, FaultAction, FaultPlan, FaultRule, FaultSite,
-};
+pub use fault::{lock_unpoisoned, FaultAction, FaultPlan, FaultRule, FaultSite};
 pub use metrics::{Metrics, Verb};
-pub use placement::{Shard, ShardCounters, ShardMap, ShardSnapshot};
 pub use pool::{default_workers, JobError, Ticket, WorkerPool};
 pub use registry::{BuiltIndex, CommitOutcome, GraphEntry, GraphRegistry};
 pub use request::{
     parse_line, CacheKey, ErrorKind, Method, MutateOp, MutateRequest, ParsedLine, Priority,
-    QueryKind, QueryRequest, RequestError, ShardCmd,
+    QueryKind, QueryRequest, RequestError,
 };
 pub use response::{
     CommitSummary, MutateOutcome, MutateResponse, PairOutcome, QueryOutcome, QueryResponse,
@@ -110,7 +106,6 @@ mod send_sync_audit {
         assert_send_sync::<crate::GraphEntry>();
         assert_send_sync::<crate::GraphRegistry>();
         assert_send_sync::<crate::WorkerPool>();
-        assert_send_sync::<crate::ShardMap>();
         assert_send_sync::<crate::BccService>();
         assert_send_sync::<crate::QueryResponse>();
         assert_send_sync::<crate::TransportCounters>();
@@ -119,6 +114,5 @@ mod send_sync_audit {
         assert_send_sync::<bcc_obs::Histogram>();
         assert_send_sync::<bcc_obs::QueryTrace>();
         assert_send_sync::<crate::FaultPlan>();
-        assert_send_sync::<crate::Breaker>();
     }
 }

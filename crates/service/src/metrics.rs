@@ -4,11 +4,11 @@
 //!
 //! Telemetry is strictly **out-of-band**: nothing here ever changes a
 //! protocol response byte. The registry implements [`Recorder`], so the
-//! same `record_phases` call that feeds a figure binary's [`QueryTrace`]
-//! feeds the live histograms here. All hot-path recording is lock-free
-//! (atomics only); the only formatting work happens in the cold
-//! `snapshot_json` / `prometheus` renderers and in the (rare, gated)
-//! slow-query log line.
+//! same `record_phases` call that feeds a figure binary's
+//! [`bcc_obs::QueryTrace`] feeds the live histograms here. All hot-path
+//! recording is lock-free (atomics only); the only formatting work happens
+//! in the cold `snapshot_json` / `prometheus` renderers and in the (rare,
+//! gated) slow-query log line.
 //!
 //! Two tiers of cost:
 //!
@@ -43,14 +43,11 @@ pub enum Verb {
     Graphs,
     /// `metrics` — this registry's own snapshot.
     Metrics,
-    /// `shard` — placement inspection/assignment (`shard list`/`shard
-    /// assign`). Appended last so historical key-order prefixes survive.
-    Shard,
 }
 
 impl Verb {
     /// Number of verbs.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every verb, in display order (stable: JSON + Prometheus rely on it).
     pub const ALL: [Verb; Verb::COUNT] = [
@@ -62,7 +59,6 @@ impl Verb {
         Verb::Stats,
         Verb::Graphs,
         Verb::Metrics,
-        Verb::Shard,
     ];
 
     #[inline]
@@ -81,7 +77,6 @@ impl Verb {
             Verb::Stats => "stats",
             Verb::Graphs => "graphs",
             Verb::Metrics => "metrics",
-            Verb::Shard => "shard",
         }
     }
 }

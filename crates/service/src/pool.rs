@@ -17,7 +17,7 @@
 //!   replacement before the thread dies, restoring the pool to full width.
 //!
 //! Both paths count into [`WorkerPool::panics`] / [`WorkerPool::respawns`]
-//! (surfaced per shard in `stats`, `metrics`, and Prometheus).
+//! (surfaced in `stats` and Prometheus).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -152,7 +152,7 @@ impl WorkerPool {
     }
 
     /// Jobs accepted but not yet picked up by a worker (instantaneous
-    /// queue depth — the per-shard load signal surfaced in `stats`).
+    /// queue depth — the load signal surfaced in Prometheus).
     pub fn queued(&self) -> usize {
         lock_unpoisoned(&self.shared.queue).jobs.len()
     }

@@ -180,10 +180,6 @@ pub struct GraphRegistry {
     /// (0 ⇒ one per core). Defaults to 1 — sequential, the seed behavior;
     /// the service layer passes its own knob through.
     index_threads: usize,
-    /// The shard routing table to notify on every publish (insert or
-    /// commit), so explicit placement pins track the live generation.
-    /// `None` for registries used outside a sharded service.
-    placement: Mutex<Option<Arc<crate::placement::ShardMap>>>,
 }
 
 impl Default for GraphRegistry {
@@ -206,30 +202,12 @@ impl GraphRegistry {
             graphs: RwLock::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
             index_threads: threads,
-            placement: Mutex::new(None),
         }
     }
 
     /// The build-thread count stamped onto new entries.
     pub fn index_threads(&self) -> usize {
         self.index_threads
-    }
-
-    /// Attaches the shard routing table: every publish (insert or commit)
-    /// refreshes the generation pin on the published name's explicit
-    /// assignment, so `shard list` always reflects the live snapshot and a
-    /// re-registration never strands a placement decision on a dead
-    /// generation.
-    pub fn set_placement(&self, placement: Arc<crate::placement::ShardMap>) {
-        *lock_unpoisoned(&self.placement) = Some(placement);
-    }
-
-    /// Refreshes the routing table's generation pin for a just-published
-    /// snapshot (no-op with no placement attached).
-    fn notify_placement(&self, name: &str, generation: u64) {
-        if let Some(placement) = lock_unpoisoned(&self.placement).as_ref() {
-            placement.note_registration(name, generation);
-        }
     }
 
     /// Registers `graph` under `name`, replacing any previous entry with
@@ -242,7 +220,6 @@ impl GraphRegistry {
             .write()
             .unwrap()
             .insert(name, Arc::clone(&entry));
-        self.notify_placement(entry.name(), entry.generation());
         entry
     }
 
@@ -288,10 +265,9 @@ impl GraphRegistry {
     /// The caller passes the exact `GraphEntry` it resolved the endpoints
     /// on: the staged batch is generation-pinned to *that* snapshot, so a
     /// concurrent re-registration can never smuggle ids resolved on one
-    /// id space into a batch validated against another — [`commit`] rejects
-    /// the whole batch if the registered generation moved
-    /// ([`GraphRegistry::commit`]). Staging left over from a different
-    /// generation is discarded on first touch.
+    /// id space into a batch validated against another — [`Self::commit`]
+    /// rejects the whole batch if the registered generation moved. Staging
+    /// left over from a different generation is discarded on first touch.
     pub fn stage_edge(
         &self,
         entry: &GraphEntry,
@@ -451,8 +427,6 @@ impl GraphRegistry {
                 ));
             }
         }
-        drop(graphs);
-        self.notify_placement(name, new_entry.generation());
         Ok(CommitOutcome {
             entry: new_entry,
             old_generation,

@@ -12,7 +12,6 @@
 //! add_edge    u=<name|id> v=<name|id> [graph=NAME]
 //! remove_edge u=<name|id> v=<name|id> [graph=NAME]
 //! commit  [graph=NAME]
-//! shard   list | assign <graph> <id>
 //! stats
 //! graphs
 //! quit
@@ -202,21 +201,6 @@ impl MutateOp {
     }
 }
 
-/// A placement command: inspect or change the graph → shard routing
-/// table (see [`crate::placement::ShardMap`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardCmd {
-    /// `shard list` — emit the shard topology and routing table.
-    List,
-    /// `shard assign <graph> <id>` — pin `graph` to shard `id`.
-    Assign {
-        /// Registry key to pin.
-        graph: String,
-        /// Target shard id.
-        shard: usize,
-    },
-}
-
 /// One protocol line, parsed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ParsedLine {
@@ -231,9 +215,6 @@ pub enum ParsedLine {
     /// `metrics` — emit the full [`crate::metrics::Metrics`] snapshot as one
     /// deterministic JSON line.
     Metrics,
-    /// `shard list` / `shard assign <graph> <id>` — placement inspection
-    /// and control.
-    Shard(ShardCmd),
     /// `quit` — end the session. Over TCP this closes only the issuing
     /// connection; in `bcc serve` (one stdin session) it ends the process.
     Quit,
@@ -333,10 +314,9 @@ pub fn parse_line(line: &str) -> Result<ParsedLine, RequestError> {
         "add_edge" => parse_edge_mutation(&rest, true).map(ParsedLine::Mutate),
         "remove_edge" => parse_edge_mutation(&rest, false).map(ParsedLine::Mutate),
         "commit" => parse_commit(&rest).map(ParsedLine::Mutate),
-        "shard" => parse_shard(&rest).map(ParsedLine::Shard),
         other => Err(RequestError::parse(format!(
             "unknown verb `{other}` (expected search|msearch|add_edge|remove_edge|commit|\
-             stats|graphs|metrics|shard|quit|shutdown)"
+             stats|graphs|metrics|quit|shutdown)"
         ))),
     }
 }
@@ -461,23 +441,6 @@ fn parse_edge_mutation(tokens: &[&str], insert: bool) -> Result<MutateRequest, R
         MutateOp::RemoveEdge { u, v }
     };
     Ok(MutateRequest { graph, op })
-}
-
-fn parse_shard(tokens: &[&str]) -> Result<ShardCmd, RequestError> {
-    match tokens {
-        ["list"] => Ok(ShardCmd::List),
-        ["assign", graph, id] => {
-            let shard = id.parse().map_err(|_| {
-                RequestError::parse(format!(
-                    "shard id must be a non-negative integer, got `{id}`"
-                ))
-            })?;
-            Ok(ShardCmd::Assign { graph: (*graph).to_owned(), shard })
-        }
-        _ => Err(RequestError::parse(
-            "`shard` expects `shard list` or `shard assign <graph> <id>`",
-        )),
-    }
 }
 
 fn parse_commit(tokens: &[&str]) -> Result<MutateRequest, RequestError> {
@@ -681,26 +644,6 @@ mod tests {
         assert_eq!(parse_line("").unwrap(), ParsedLine::Empty);
         assert_eq!(parse_line("   ").unwrap(), ParsedLine::Empty);
         assert_eq!(parse_line("# a comment").unwrap(), ParsedLine::Empty);
-    }
-
-    #[test]
-    fn parses_shard_commands() {
-        assert_eq!(parse_line("shard list").unwrap(), ParsedLine::Shard(ShardCmd::List));
-        assert_eq!(
-            parse_line("shard assign dblp 2").unwrap(),
-            ParsedLine::Shard(ShardCmd::Assign { graph: "dblp".into(), shard: 2 })
-        );
-        for (line, needle) in [
-            ("shard", "shard list"),
-            ("shard drop g", "shard list"),
-            ("shard assign g", "shard list"),
-            ("shard assign g two", "non-negative integer"),
-            ("shard list extra", "shard list"),
-        ] {
-            let err = parse_line(line).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::Parse, "line: {line}");
-            assert!(err.message.contains(needle), "line `{line}`: {}", err.message);
-        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct QueryOutcome {
 
 /// One label-pair sub-query's result inside a scattered msearch response:
 /// the partial-failure surface. A failed pair appears as a structured
-/// error *inside* the `ok:true` response — cross-shard msearch never turns
+/// error *inside* the `ok:true` response — a scattered msearch never turns
 /// one slow or unsatisfiable pair into a whole-request failure as long as
 /// the assembly succeeds.
 #[derive(Clone, Debug, PartialEq, Eq)]

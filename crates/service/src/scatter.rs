@@ -1,23 +1,23 @@
-//! Scatter-gather: cross-shard fan-out for multi-label `msearch`.
+//! Scatter-gather: label-pair fan-out for multi-label `msearch`.
 //!
 //! Pair (k,s)-BCCs do **not** compose into the multi-label mBCC — the
 //! cross-group connectivity constraint couples the label pairs, and a pair
 //! that is infeasible in isolation can still participate in a feasible
 //! mBCC through an intermediary group — so the scatter plan keeps one
-//! *assembly* job (the full multi-label engine run, on the graph's home
-//! shard) and fans the C(m,2) label-pair sub-queries out as concurrent
+//! *assembly* job (the full multi-label engine run) and submits the C(m,2)
+//! label-pair sub-queries to the same worker pool as concurrent
 //! annotations: each pair result lands in the response's `pairs` section
 //! (partial failure stays structured and per-pair, never a whole-request
 //! failure) and warms exactly the cache slot a direct two-vertex `msearch`
 //! of that pair would use.
 //!
-//! Determinism across shard counts is structural, not incidental: the plan
-//! derives from the normalized (sorted, deduped) vertex list; cache probes
-//! happen in plan order on the session thread at submit; gather collects
-//! the assembly first, then the pairs in plan order; and sub-jobs never
-//! insert into the cache from worker threads — all inserts replay in plan
-//! order at gather. Response bytes, hit/miss counts, and LRU recency are
-//! therefore identical whether one shard or many executed the work.
+//! Determinism across worker counts is structural, not incidental: the
+//! plan derives from the normalized (sorted, deduped) vertex list; cache
+//! probes happen in plan order on the session thread at submit; gather
+//! collects the assembly first, then the pairs in plan order; and sub-jobs
+//! never insert into the cache from worker threads — all inserts replay in
+//! plan order at gather. Response bytes, hit/miss counts, and LRU recency
+//! are therefore identical whether one worker or many executed the work.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,7 +30,7 @@ use crate::request::{CacheKey, ErrorKind, Method, RequestError};
 use crate::response::QueryOutcome;
 
 /// A scattered msearch in flight: the assembly ticket plus one
-/// [`PairJob`] per label pair, gathered by `BccService::wait`.
+/// `PairJob` per label pair, gathered by `BccService::wait`.
 pub struct ScatterWait {
     pub(crate) seq: u64,
     pub(crate) graph: String,
@@ -60,9 +60,6 @@ pub(crate) struct PairJob {
     /// The pair's own cache key — identical to a direct two-vertex
     /// `msearch`'s key, so scatter and direct queries share slots.
     pub(crate) key: CacheKey,
-    /// The shard the sub-query actually executed on (after any breaker
-    /// reroute) — where gather records the outcome for breaker accounting.
-    pub(crate) shard: usize,
     pub(crate) source: PairSource,
 }
 

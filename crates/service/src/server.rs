@@ -32,7 +32,6 @@ use std::time::Instant;
 
 use crate::codec::{Codec, LineCodec};
 use crate::fault::{lock_unpoisoned, panic_message};
-use crate::placement::Shard;
 use crate::request::Priority;
 use crate::session::{session_error_json, Session, SessionConfig, SessionEnd};
 use crate::service::{BccService, TransportCounters};
@@ -100,9 +99,6 @@ pub struct Admission {
     concurrency: usize,
     queue_depth: usize,
     transport: Arc<TransportCounters>,
-    /// The shard this gate guards, when the server runs one gate per
-    /// shard: rejections name the shard id and bump its counters.
-    shard: Option<Arc<Shard>>,
     state: Mutex<AdmState>,
     available: Condvar,
 }
@@ -131,18 +127,9 @@ impl Admission {
             concurrency: concurrency.max(1),
             queue_depth,
             transport,
-            shard: None,
             state: Mutex::new(AdmState::default()),
             available: Condvar::new(),
         }
-    }
-
-    /// Ties this gate to `shard`: overload rejections name the shard id in
-    /// their structured message, and admit/reject counts land on the
-    /// shard's counters (surfaced per shard in `stats`).
-    pub fn with_shard(mut self, shard: Arc<Shard>) -> Self {
-        self.shard = Some(shard);
-        self
     }
 
     /// Admits one request for `session`, blocking until a slot is free and
@@ -162,15 +149,8 @@ impl Admission {
         }
         if state.waiting.len() >= self.queue_depth {
             self.transport.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-            let scope = match &self.shard {
-                Some(shard) => {
-                    shard.counters().rejected.fetch_add(1, Ordering::Relaxed);
-                    format!(" on shard {}", shard.id())
-                }
-                None => String::new(),
-            };
             return Err(AdmitError::Overloaded(format!(
-                "admission queue full{scope} ({} executing, {} waiting, queue depth {})",
+                "admission queue full ({} executing, {} waiting, queue depth {})",
                 state.in_flight,
                 state.waiting.len(),
                 self.queue_depth
@@ -229,9 +209,6 @@ impl Admission {
         state.in_flight += 1;
         *state.served.entry(session).or_insert(0) += 1;
         self.transport.admitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(shard) = &self.shard {
-            shard.counters().admitted.fetch_add(1, Ordering::Relaxed);
-        }
         AdmissionPermit { admission: self }
     }
 
@@ -271,10 +248,8 @@ impl Drop for AdmissionPermit<'_> {
 struct Shared {
     service: Arc<BccService>,
     config: ServerConfig,
-    /// One admission gate per shard (`admissions[i]` guards shard `i`):
-    /// sessions route each query's admission through the shard its graph
-    /// routes to, so overload on one shard leaves the others admitting.
-    admissions: Vec<Admission>,
+    /// The admission gate every session's queries pass through.
+    admission: Admission,
     addr: SocketAddr,
     shutdown: AtomicBool,
     next_session: AtomicU64,
@@ -320,26 +295,17 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // One gate per shard: default concurrency is the *shard's* worker
-        // count, so each pool is protected independently.
-        let admissions = service
-            .shard_map()
-            .shards()
-            .iter()
-            .map(|shard| {
-                let concurrency = if config.concurrency == 0 {
-                    shard.pool().workers()
-                } else {
-                    config.concurrency
-                };
-                Admission::new(concurrency, config.queue_depth, Arc::clone(service.transport()))
-                    .with_shard(Arc::clone(shard))
-            })
-            .collect();
+        let concurrency = if config.concurrency == 0 {
+            service.workers()
+        } else {
+            config.concurrency
+        };
+        let admission =
+            Admission::new(concurrency, config.queue_depth, Arc::clone(service.transport()));
         let shared = Arc::new(Shared {
             service,
             config,
-            admissions,
+            admission,
             addr,
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(0),
@@ -360,16 +326,10 @@ impl ServerHandle {
         self.shared.addr
     }
 
-    /// The first shard's admission gate (tests and the load bench occupy
-    /// slots directly to provoke deterministic overload); see
-    /// [`ServerHandle::admissions`] for the full per-shard set.
+    /// The admission gate (tests and the load bench occupy slots directly
+    /// to provoke deterministic overload).
     pub fn admission(&self) -> &Admission {
-        &self.shared.admissions[0]
-    }
-
-    /// All admission gates, shard order (`admissions()[i]` guards shard `i`).
-    pub fn admissions(&self) -> &[Admission] {
-        &self.shared.admissions
+        &self.shared.admission
     }
 
     /// Initiates shutdown: stop accepting, close every session.
@@ -469,7 +429,7 @@ fn session_thread(shared: Arc<Shared>, id: u64, stream: TcpStream) {
                         default_timeout_ms: shared.config.default_timeout_ms,
                     },
                 )
-                .with_gates(&shared.admissions);
+                .with_gate(&shared.admission);
                 // BufWriter turns a codec's prefix + payload + newline
                 // writes into one packet; `Session::emit` flushes per
                 // response.

@@ -26,12 +26,11 @@ use bcc_graph::{LabeledGraph, VertexId};
 use crate::cache::{CacheCounters, LruCache};
 use crate::fault::{lock_unpoisoned, FaultPlan, FaultSite};
 use crate::metrics::{Metrics, Verb};
-use crate::placement::{ShardMap, ShardSnapshot};
-use crate::pool::{JobError, Ticket};
+use crate::pool::{JobError, Ticket, WorkerPool};
 use crate::registry::{GraphEntry, GraphRegistry};
 use crate::request::{
     parse_line, CacheKey, ErrorKind, Method, MutateOp, MutateRequest, ParsedLine, QueryKind,
-    QueryRequest, RequestError, ShardCmd,
+    QueryRequest, RequestError,
 };
 use crate::response::{
     json_string, outcome_from_result, CommitSummary, MutateOutcome, MutateResponse, PairOutcome,
@@ -47,12 +46,7 @@ const MAX_PAIR_RETRIES: u32 = 2;
 /// Tunables for a [`BccService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker pools (shards). Each registered graph routes to one shard —
-    /// explicit `shard assign` or hash of its name — and a multi-label
-    /// `msearch` scatters label-pair sub-queries across shards. 0 or 1 ⇒
-    /// the classic single-pool topology.
-    pub shards: usize,
-    /// Worker threads **per shard** (0 ⇒ one per available core).
+    /// Worker threads in the pool (0 ⇒ one per available core).
     pub workers: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -88,18 +82,11 @@ pub struct ServiceConfig {
     /// Empty (the default, and the only production configuration) compiles
     /// the injection points down to a single never-taken branch.
     pub faults: Vec<String>,
-    /// Consecutive sub-query failures that trip a shard's circuit breaker
-    /// open (0 disables the breakers entirely).
-    pub breaker_threshold: u32,
-    /// How long an open breaker blocks a shard before admitting one
-    /// half-open probe.
-    pub breaker_cooldown_ms: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            shards: 1,
             workers: 0,
             cache_capacity: 4096,
             cache_weight_cap: 0,
@@ -110,8 +97,6 @@ impl Default for ServiceConfig {
             slow_query_ms: 250,
             query_threads: 1,
             faults: Vec::new(),
-            breaker_threshold: 5,
-            breaker_cooldown_ms: 250,
         }
     }
 }
@@ -173,60 +158,16 @@ pub struct ServiceStats {
     /// Requests counted per protocol verb, in [`Verb::ALL`] order. Always
     /// live (counters are unconditional; only histograms are gated).
     pub requests_by_verb: [u64; Verb::COUNT],
-    /// Per-shard load snapshots, id order (one entry in the single-pool
-    /// topology).
-    pub shards: Vec<ShardSnapshot>,
-    /// Service lifetime at snapshot time (the per-shard q/s denominator).
-    pub uptime: Duration,
     /// Faults the injection plan has fired (always 0 without a plan).
     pub faults_injected: u64,
-    /// Worker jobs that panicked (contained, never fatal; summed across
-    /// shards).
+    /// Worker jobs that panicked (contained, never fatal).
     pub worker_panics: u64,
-    /// Workers respawned after an uncaught job panic (summed across
-    /// shards; pool capacity never decays).
+    /// Workers respawned after an uncaught job panic (pool capacity never
+    /// decays).
     pub worker_respawns: u64,
     /// Scatter pair sub-queries re-executed after a transient internal
     /// failure.
     pub pair_retries: u64,
-    /// Circuit-breaker closed→open transitions (summed across shards).
-    pub breaker_opens: u64,
-    /// Pair sub-queries rerouted to the home shard by an open breaker.
-    pub breaker_rerouted: u64,
-}
-
-/// Renders per-shard snapshots as the `"shards"` JSON object body (shared
-/// by `stats` and the `metrics` splice): throughput is integer q/s over
-/// the service lifetime, everything else is a live counter or gauge.
-fn shards_json(shards: &[ShardSnapshot], uptime: Duration) -> String {
-    let uptime_us = uptime.as_micros() as u64;
-    shards
-        .iter()
-        .map(|s| {
-            let qps =
-                s.executed.saturating_mul(1_000_000).checked_div(uptime_us).unwrap_or(0);
-            format!(
-                "\"{}\":{{\"workers\":{},\"queued\":{},\"routed\":{},\"executed\":{},\
-                 \"admitted\":{},\"rejected\":{},\"qps\":{},\"panics\":{},\
-                 \"respawns\":{},\"breaker\":\"{}\",\"breaker_opens\":{},\
-                 \"breaker_rerouted\":{}}}",
-                s.id,
-                s.workers,
-                s.queued,
-                s.routed,
-                s.executed,
-                s.admitted,
-                s.rejected,
-                qps,
-                s.panics,
-                s.respawns,
-                s.breaker.name(),
-                s.breaker_opens,
-                s.breaker_rerouted,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 impl ServiceStats {
@@ -249,10 +190,9 @@ impl ServiceStats {
              \"active_sessions\":{},\"admitted\":{},\"rejected_overloaded\":{},\
              \"admission_timeouts\":{},\"bytes_in\":{},\"bytes_out\":{},\
              \"graphs\":[{}],\"total_search_time_us\":{},\
-             \"slow_queries\":{},\"requests_by_verb\":{{{}}},\"shards\":{{{}}},\
+             \"slow_queries\":{},\"requests_by_verb\":{{{}}},\
              \"faults\":{{\"injected\":{},\"worker_panics\":{},\
-             \"worker_respawns\":{},\"pair_retries\":{},\"breaker_opens\":{},\
-             \"breaker_rerouted\":{}}}}}",
+             \"worker_respawns\":{},\"pair_retries\":{}}}}}",
             self.requests,
             self.searches_executed,
             self.cache.hits,
@@ -285,13 +225,10 @@ impl ServiceStats {
                 .map(|v| format!("\"{}\":{}", v.name(), self.requests_by_verb[v.index()]))
                 .collect::<Vec<_>>()
                 .join(","),
-            shards_json(&self.shards, self.uptime),
             self.faults_injected,
             self.worker_panics,
             self.worker_respawns,
             self.pair_retries,
-            self.breaker_opens,
-            self.breaker_rerouted,
         )
     }
 }
@@ -364,7 +301,7 @@ pub enum Pending {
         /// Submission instant (for the response's `elapsed`).
         started: Instant,
     },
-    /// A multi-label msearch (m > 2) scattered across shards: one assembly
+    /// A multi-label msearch (m > 2) scattered over the pool: one assembly
     /// job plus C(m,2) label-pair sub-queries, gathered in plan order by
     /// [`BccService::wait`].
     Scatter(Box<ScatterWait>),
@@ -381,24 +318,22 @@ pub enum LineOutcome {
     Silent,
 }
 
-/// The long-lived query engine: graph registry + sharded worker pools +
-/// result cache + the line protocol.
+/// The long-lived query engine: graph registry + worker pool + result
+/// cache + the line protocol.
 pub struct BccService {
     config: ServiceConfig,
     registry: GraphRegistry,
-    shards: Arc<ShardMap>,
+    pool: WorkerPool,
     cache: SharedCache,
     counters: Arc<Mutex<Counters>>,
     transport: Arc<TransportCounters>,
     metrics: Arc<Metrics>,
     faults: Arc<FaultPlan>,
     seq: AtomicU64,
-    started: Instant,
 }
 
 impl BccService {
-    /// Starts the service (spawns the per-shard worker pools) with an
-    /// empty registry.
+    /// Starts the service (spawns the worker pool) with an empty registry.
     ///
     /// # Panics
     ///
@@ -409,30 +344,23 @@ impl BccService {
             FaultPlan::parse(&config.faults)
                 .unwrap_or_else(|err| panic!("invalid fault spec: {err}")),
         );
-        let shards = Arc::new(ShardMap::with_breakers(
-            config.shards,
-            config.workers,
-            config.breaker_threshold,
-            Duration::from_millis(config.breaker_cooldown_ms),
-        ));
+        let pool = WorkerPool::new(config.workers);
         let cache = Arc::new(Mutex::new(LruCache::with_weight_cap(
             config.cache_capacity,
             config.cache_weight_cap,
         )));
         let registry = GraphRegistry::with_index_threads(config.index_threads);
-        registry.set_placement(Arc::clone(&shards));
         let metrics = Arc::new(Metrics::new(config.metrics, config.slow_query_ms));
         BccService {
             config,
             registry,
-            shards,
+            pool,
             cache,
             counters: Arc::new(Mutex::new(Counters::default())),
             transport: Arc::new(TransportCounters::default()),
             metrics,
             faults,
             seq: AtomicU64::new(0),
-            started: Instant::now(),
         }
     }
 
@@ -455,22 +383,9 @@ impl BccService {
         &self.config
     }
 
-    /// Worker-thread count, summed across shards.
+    /// Worker-thread count.
     pub fn workers(&self) -> usize {
-        self.shards.total_workers()
-    }
-
-    /// The shard routing table (shared with the registry and the TCP
-    /// server's per-shard admission gates).
-    pub fn shard_map(&self) -> &Arc<ShardMap> {
-        &self.shards
-    }
-
-    /// The shard id `graph` — or the default graph, when a request names
-    /// none — routes to. The session layer picks its admission gate here.
-    pub fn shard_for(&self, graph: Option<&str>) -> usize {
-        self.shards
-            .route_id(graph.unwrap_or(&self.config.default_graph))
+        self.pool.workers()
     }
 
     /// The transport-layer counters (shared with the TCP server and its
@@ -496,8 +411,6 @@ impl BccService {
         let counters = lock_unpoisoned(&self.counters);
         let cache = lock_unpoisoned(&self.cache);
         let t = &self.transport;
-        let shards = self.shards.snapshot();
-        let sum = |f: fn(&ShardSnapshot) -> u64| shards.iter().map(f).sum::<u64>();
         ServiceStats {
             requests: counters.requests,
             searches_executed: counters.searches_executed,
@@ -512,7 +425,7 @@ impl BccService {
             mutate_errors: counters.mutate_errors,
             cache_invalidated: counters.cache_invalidated,
             cache_retained: counters.cache_retained,
-            workers: self.shards.total_workers(),
+            workers: self.pool.workers(),
             graphs: self.registry.names(),
             total_search_time: counters.total_search_time,
             connections_accepted: t.connections_accepted.load(Ordering::Relaxed),
@@ -526,13 +439,9 @@ impl BccService {
             slow_queries: self.metrics.slow_queries(),
             requests_by_verb: std::array::from_fn(|i| self.metrics.requests(Verb::ALL[i])),
             faults_injected: self.faults.injected(),
-            worker_panics: sum(|s| s.panics),
-            worker_respawns: sum(|s| s.respawns),
+            worker_panics: self.pool.panics(),
+            worker_respawns: self.pool.respawns(),
             pair_retries: counters.pair_retries,
-            breaker_opens: sum(|s| s.breaker_opens),
-            breaker_rerouted: sum(|s| s.breaker_rerouted),
-            shards,
-            uptime: self.started.elapsed(),
         }
     }
 
@@ -600,9 +509,9 @@ impl BccService {
         let method = request.method;
 
         // A multi-label msearch over more than two vertices scatters: the
-        // pair sub-queries fan across shards while the assembly runs on the
-        // graph's home shard. Pair searches and 2-vertex msearch (which the
-        // engine reduces to the pair case) stay single-job.
+        // pair sub-queries and the assembly run side by side on the pool.
+        // Pair searches and 2-vertex msearch (which the engine reduces to
+        // the pair case) stay single-job.
         if normalized.multi && normalized.vertices.len() > 2 {
             return self
                 .submit_scatter(seq, graph_name, entry, method, normalized, key, deadline, started);
@@ -610,9 +519,7 @@ impl BccService {
 
         let shared = self.exec_shared();
         let job_key = key.clone();
-        let shard = self.shards.route(&graph_name);
-        shard.counters().routed.fetch_add(1, Ordering::Relaxed);
-        let ticket = shard.pool().submit(move || {
+        let ticket = self.pool.submit(move || {
             execute(&entry, method, &normalized, job_key, deadline, true, &shared)
         });
         Pending::InFlight {
@@ -638,10 +545,10 @@ impl BccService {
     }
 
     /// Scatters one m > 2 msearch: probes each label pair's cache slot in
-    /// plan order on this thread (deterministic hit/miss accounting), fans
-    /// misses out to their owning shards, and submits the monolithic
-    /// assembly run to the graph's home shard. No sub-job inserts into the
-    /// cache — [`Self::gather`] replays all inserts in plan order.
+    /// plan order on this thread (deterministic hit/miss accounting),
+    /// submits the misses to the pool in plan order, then the monolithic
+    /// assembly run. No sub-job inserts into the cache — [`Self::gather`]
+    /// replays all inserts in plan order.
     #[allow(clippy::too_many_arguments)]
     fn submit_scatter(
         &self,
@@ -655,7 +562,6 @@ impl BccService {
         started: Instant,
     ) -> Pending {
         let plan = scatter::pair_plan(&normalized.vertices, &normalized.ks);
-        let home = self.shards.route_id(&graph_name);
         let mut pairs = Vec::with_capacity(plan.len());
         for ((vi, ki), (vj, kj)) in plan {
             let pair_key = CacheKey::normalized(
@@ -667,23 +573,17 @@ impl BccService {
                 normalized.b,
             );
             let cached = lock_unpoisoned(&self.cache).get(&pair_key).cloned();
-            let (source, shard) = match cached {
-                Some(outcome) => (PairSource::Cached(outcome), home),
-                None => {
-                    let (ticket, shard) =
-                        self.submit_pair(&graph_name, &entry, method, &pair_key, deadline, home);
-                    (PairSource::Miss(ticket), shard)
-                }
+            let source = match cached {
+                Some(outcome) => PairSource::Cached(outcome),
+                None => PairSource::Miss(self.submit_pair(&entry, method, &pair_key, deadline)),
             };
-            pairs.push(PairJob { ql: vi.0, qr: vj.0, key: pair_key, shard, source });
+            pairs.push(PairJob { ql: vi.0, qr: vj.0, key: pair_key, source });
         }
         let shared = self.exec_shared();
         let job_key = key.clone();
-        let shard = self.shards.route(&graph_name);
-        shard.counters().routed.fetch_add(1, Ordering::Relaxed);
         let assembly = {
             let entry = Arc::clone(&entry);
-            shard.pool().submit(move || {
+            self.pool.submit(move || {
                 execute(&entry, method, &normalized, job_key, deadline, false, &shared)
             })
         };
@@ -700,32 +600,16 @@ impl BccService {
         }))
     }
 
-    /// Routes and submits one label-pair sub-query. The pair's owning
-    /// shard comes from rendezvous hashing — unless that shard's circuit
-    /// breaker is open, in which case the graph's home shard absorbs the
-    /// pair (correctness preserved, latency degraded, the reroute
-    /// counted). Returns the ticket and the shard id the job actually ran
-    /// on, which is where [`Self::gather`] records the breaker outcome.
-    /// The pair's [`Normalized`] form is rebuilt from its cache key, so
-    /// gather-side retries need only the key.
+    /// Submits one label-pair sub-query to the pool. The pair's
+    /// [`Normalized`] form is rebuilt from its cache key, so gather-side
+    /// retries need only the key.
     fn submit_pair(
         &self,
-        graph_name: &str,
         entry: &Arc<GraphEntry>,
         method: Method,
         pair_key: &CacheKey,
         deadline: Option<Instant>,
-        home: usize,
-    ) -> (Ticket<Result<QueryOutcome, RequestError>>, usize) {
-        let (ql, qr) = (pair_key.vertex_ks[0].0, pair_key.vertex_ks[1].0);
-        let owner = self.shards.route_pair(graph_name, ql, qr);
-        let shard = if owner.id() != home && !owner.breaker().allow() {
-            owner.counters().breaker_rerouted.fetch_add(1, Ordering::Relaxed);
-            &self.shards.shards()[home]
-        } else {
-            owner
-        };
-        shard.counters().routed.fetch_add(1, Ordering::Relaxed);
+    ) -> Ticket<Result<QueryOutcome, RequestError>> {
         let sub = Normalized {
             multi: true,
             vertices: pair_key.vertex_ks.iter().map(|&(v, _)| VertexId(v)).collect(),
@@ -735,7 +619,7 @@ impl BccService {
         let entry = Arc::clone(entry);
         let shared = self.exec_shared();
         let job_key = pair_key.clone();
-        let ticket = shard.pool().submit(move || {
+        self.pool.submit(move || {
             if shared.faults.perturb(FaultSite::ScatterPair) {
                 return Err(RequestError {
                     kind: ErrorKind::Internal,
@@ -743,8 +627,7 @@ impl BccService {
                 });
             }
             execute(&entry, method, &sub, job_key, deadline, false, &shared)
-        });
-        (ticket, shard.id())
+        })
     }
 
     /// Blocks until `pending` resolves (or its deadline passes).
@@ -791,13 +674,12 @@ impl BccService {
     /// entry in the response's `pairs` section — partial failure never
     /// fails the request as long as the assembly succeeded. Cache inserts
     /// replay here, in plan order, so cache state is identical at any
-    /// shard count.
+    /// worker count.
     ///
-    /// Degradation logic lives here too: every executed pair's outcome
-    /// feeds its shard's circuit breaker, and a pair that failed
-    /// *internally* (worker panic, injected fault — never a deadline) is
-    /// retried with bounded backoff inside the inherited deadline budget,
-    /// re-executed against the scatter's original snapshot.
+    /// A pair that failed *internally* (worker panic, injected fault —
+    /// never a deadline) is retried here with bounded backoff inside the
+    /// inherited deadline budget, re-executed against the scatter's
+    /// original snapshot.
     fn gather(&self, wait: ScatterWait) -> QueryResponse {
         let ScatterWait {
             seq,
@@ -817,7 +699,6 @@ impl BccService {
             Err(err) => Err(job_error(err)),
         };
         let assembly_outcome = collect(assembly);
-        let home = self.shards.route_id(&graph);
         let mut pair_outcomes = Vec::with_capacity(pairs.len());
         let mut inserts = Vec::new();
         for job in pairs {
@@ -825,44 +706,21 @@ impl BccService {
                 PairSource::Cached(outcome) => outcome,
                 PairSource::Miss(ticket) => {
                     let mut outcome = collect(ticket);
-                    let mut shard_id = job.shard;
                     let mut attempt: u32 = 0;
-                    loop {
-                        // Breaker accounting on the shard that actually ran
-                        // the job: internal failures and timeouts are shard
-                        //-health signals; deterministic search errors and
-                        // successes prove the shard alive.
-                        let breaker = self.shards.shards()[shard_id].breaker();
-                        match &outcome {
-                            Err(e)
-                                if e.kind == ErrorKind::Internal
-                                    || e.kind == ErrorKind::Timeout =>
-                            {
-                                breaker.record_failure()
-                            }
-                            _ => breaker.record_success(),
-                        }
-                        // Retry only internal failures (the job died; the
-                        // work was never done) — a blown deadline stays
-                        // blown. Backoff doubles and must fit the budget.
-                        let retryable =
-                            matches!(&outcome, Err(e) if e.kind == ErrorKind::Internal);
-                        if !retryable || attempt >= MAX_PAIR_RETRIES {
-                            break;
-                        }
+                    // Retry only internal failures (the job died; the work
+                    // was never done) — a blown deadline stays blown.
+                    // Backoff doubles and must fit the budget.
+                    while attempt < MAX_PAIR_RETRIES
+                        && matches!(&outcome, Err(e) if e.kind == ErrorKind::Internal)
+                    {
                         let backoff = Duration::from_millis(1 << attempt);
-                        if let Some(deadline) = deadline {
-                            if Instant::now() + backoff >= deadline {
-                                break;
-                            }
+                        if deadline.is_some_and(|d| Instant::now() + backoff >= d) {
+                            break;
                         }
                         std::thread::sleep(backoff);
                         attempt += 1;
                         lock_unpoisoned(&self.counters).pair_retries += 1;
-                        let (ticket, shard) =
-                            self.submit_pair(&graph, &entry, method, &job.key, deadline, home);
-                        shard_id = shard;
-                        outcome = collect(ticket);
+                        outcome = collect(self.submit_pair(&entry, method, &job.key, deadline));
                     }
                     if scatter::cacheable(&outcome) {
                         inserts.push((job.key, outcome.clone()));
@@ -1122,16 +980,13 @@ impl BccService {
     }
 
     /// The `metrics` verb's JSON line: the full registry snapshot with the
-    /// per-shard load section spliced in — deterministic key order,
-    /// integers only.
+    /// fault counters spliced in — deterministic key order, integers only.
     pub fn metrics_json(&self) -> String {
         self.metrics.count_request(Verb::Metrics);
         let mut out = self.metrics.snapshot_json();
         debug_assert!(out.ends_with('}'));
         out.pop();
-        out.push_str(",\"shards\":{");
-        out.push_str(&shards_json(&self.shards.snapshot(), self.started.elapsed()));
-        out.push_str("},\"faults\":{\"injected\":");
+        out.push_str(",\"faults\":{\"injected\":");
         out.push_str(&self.faults.injected().to_string());
         out.push_str(",\"pair_retries\":");
         out.push_str(&lock_unpoisoned(&self.counters).pair_retries.to_string());
@@ -1140,37 +995,21 @@ impl BccService {
     }
 
     /// Prometheus exposition text: the metrics registry's families plus
-    /// the per-shard load gauges/counters.
+    /// the worker pool's load gauges/counters.
     pub fn prometheus(&self) -> String {
-        type ShardStat = fn(&ShardSnapshot) -> u64;
         let mut out = self.metrics.prometheus();
-        let families: [(&str, &str, ShardStat); 9] = [
-            ("bcc_shard_routed_total", "counter", |s| s.routed),
-            ("bcc_shard_executed_total", "counter", |s| s.executed),
-            ("bcc_shard_queue_depth", "gauge", |s| s.queued as u64),
-            ("bcc_shard_admitted_total", "counter", |s| s.admitted),
-            ("bcc_shard_rejected_total", "counter", |s| s.rejected),
-            ("bcc_shard_worker_panics_total", "counter", |s| s.panics),
-            ("bcc_shard_worker_respawns_total", "counter", |s| s.respawns),
-            ("bcc_shard_breaker_opens_total", "counter", |s| s.breaker_opens),
-            ("bcc_shard_breaker_rerouted_total", "counter", |s| s.breaker_rerouted),
+        let t = &self.transport;
+        let families: [(&str, &str, u64); 6] = [
+            ("bcc_pool_executed_total", "counter", self.pool.executed()),
+            ("bcc_pool_queue_depth", "gauge", self.pool.queued() as u64),
+            ("bcc_pool_admitted_total", "counter", t.admitted.load(Ordering::Relaxed)),
+            ("bcc_pool_rejected_total", "counter", t.rejected_overloaded.load(Ordering::Relaxed)),
+            ("bcc_pool_worker_panics_total", "counter", self.pool.panics()),
+            ("bcc_pool_worker_respawns_total", "counter", self.pool.respawns()),
         ];
-        let snapshot = self.shards.snapshot();
         for (name, kind, value) in families {
-            out.push_str(&format!("# HELP {name} Per-shard load.\n# TYPE {name} {kind}\n"));
-            for s in &snapshot {
-                out.push_str(&format!("{name}{{shard=\"{}\"}} {}\n", s.id, value(s)));
-            }
-        }
-        out.push_str(
-            "# HELP bcc_shard_breaker_state Circuit-breaker state \
-             (0=closed, 1=open, 2=half_open).\n# TYPE bcc_shard_breaker_state gauge\n",
-        );
-        for s in &snapshot {
             out.push_str(&format!(
-                "bcc_shard_breaker_state{{shard=\"{}\"}} {}\n",
-                s.id,
-                s.breaker.code()
+                "# HELP {name} Worker pool load.\n# TYPE {name} {kind}\n{name} {value}\n"
             ));
         }
         out.push_str(&format!(
@@ -1186,73 +1025,6 @@ impl BccService {
             lock_unpoisoned(&self.counters).pair_retries
         ));
         out
-    }
-
-    /// The `shard` verb's JSON line: `shard list` renders the topology and
-    /// every registered graph's route; `shard assign <graph> <id>` pins a
-    /// graph to a shard (pinned to the live generation for observability).
-    pub fn shard_json(&self, cmd: ShardCmd) -> String {
-        self.metrics.count_request(Verb::Shard);
-        match cmd {
-            ShardCmd::List => {
-                let workers = self
-                    .shards
-                    .shards()
-                    .iter()
-                    .map(|s| s.pool().workers().to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let assigned: Vec<String> =
-                    self.shards.assignments().into_iter().map(|(name, _, _)| name).collect();
-                let routes = self
-                    .registry
-                    .names()
-                    .iter()
-                    .map(|name| {
-                        format!(
-                            "{{\"graph\":{},\"shard\":{},\"assigned\":{}}}",
-                            json_string(name),
-                            self.shards.route_id(name),
-                            assigned.iter().any(|a| a == name),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let breakers = self
-                    .shards
-                    .shards()
-                    .iter()
-                    .map(|s| format!("\"{}\"", s.breaker().state().name()))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!(
-                    "{{\"ok\":true,\"shards\":{},\"workers\":[{}],\"routes\":[{}],\
-                     \"breakers\":[{}]}}",
-                    self.shards.shard_count(),
-                    workers,
-                    routes,
-                    breakers
-                )
-            }
-            ShardCmd::Assign { graph, shard } => {
-                let Some(entry) = self.registry.get(&graph) else {
-                    return format!(
-                        "{{\"ok\":false,\"error\":\"resolve\",\"message\":{}}}",
-                        json_string(&format!("no graph registered as `{graph}`"))
-                    );
-                };
-                match self.shards.assign(&graph, shard, entry.generation()) {
-                    Ok(()) => format!(
-                        "{{\"ok\":true,\"graph\":{},\"shard\":{shard}}}",
-                        json_string(&graph)
-                    ),
-                    Err(message) => format!(
-                        "{{\"ok\":false,\"error\":\"resolve\",\"message\":{}}}",
-                        json_string(&message)
-                    ),
-                }
-            }
-        }
     }
 
     /// The `graphs` command's JSON line.
@@ -1288,7 +1060,6 @@ impl BccService {
             Ok(ParsedLine::Stats) => LineOutcome::Output(self.stats_json()),
             Ok(ParsedLine::Graphs) => LineOutcome::Output(self.graphs_json()),
             Ok(ParsedLine::Metrics) => LineOutcome::Output(self.metrics_json()),
-            Ok(ParsedLine::Shard(cmd)) => LineOutcome::Output(self.shard_json(cmd)),
             Ok(ParsedLine::Request(request)) => {
                 LineOutcome::Output(self.handle(request).to_json())
             }
@@ -1349,11 +1120,6 @@ impl BccService {
                     if let LineOutcome::Output(out) = self.process_line("graphs") {
                         slots.push(Slot::Line(out));
                     }
-                }
-                // Shard commands execute at submit time, like mutations:
-                // `shard assign` must re-route the lines that follow it.
-                Ok(ParsedLine::Shard(cmd)) => {
-                    slots.push(Slot::Line(self.shard_json(cmd)));
                 }
                 Ok(ParsedLine::Request(request)) => {
                     slots.push(Slot::Waiting(self.submit(request)));
@@ -1505,7 +1271,7 @@ fn job_error(err: JobError) -> RequestError {
 /// without executing (their waiter has moved on; starting the search would
 /// waste the pool). Scatter sub-jobs pass `cache_insert: false` — their
 /// inserts replay on the gather side, in plan order, so cache state stays
-/// deterministic across shard counts.
+/// deterministic across worker counts.
 fn execute(
     entry: &GraphEntry,
     method: Method,
@@ -2037,7 +1803,7 @@ mod tests {
     }
 
     /// Three labeled 4-cliques chained A–B–C by butterflies (the
-    /// sharded-differential suite's scatter topology).
+    /// scatter topology of the concurrency and chaos suites).
     fn three_group_graph() -> LabeledGraph {
         let mut b = GraphBuilder::new();
         let a: Vec<_> = (0..4).map(|_| b.add_vertex("A")).collect();
@@ -2088,19 +1854,16 @@ mod tests {
         let service = service();
         let stats = service.stats_json();
         assert!(
-            stats.contains(
+            stats.ends_with(
                 ",\"faults\":{\"injected\":0,\"worker_panics\":0,\"worker_respawns\":0,\
-                 \"pair_retries\":0,\"breaker_opens\":0,\"breaker_rerouted\":0}}"
+                 \"pair_retries\":0}}"
             ),
             "{stats}"
         );
-        assert!(stats.contains("\"breaker\":\"closed\""), "{stats}");
-        let shard_list = service.shard_json(ShardCmd::List);
-        assert!(shard_list.contains("\"breakers\":[\"closed\"]"), "{shard_list}");
         let prom = service.prometheus();
-        assert!(prom.contains("bcc_shard_breaker_state{shard=\"0\"} 0"), "{prom}");
         assert!(prom.contains("bcc_faults_injected_total 0"), "{prom}");
-        assert!(prom.contains("bcc_shard_worker_panics_total{shard=\"0\"} 0"), "{prom}");
+        assert!(prom.contains("\nbcc_pool_worker_panics_total 0\n"), "{prom}");
+        assert!(prom.contains("\nbcc_pool_worker_respawns_total 0\n"), "{prom}");
         let metrics = service.metrics_json();
         assert!(metrics.ends_with(",\"faults\":{\"injected\":0,\"pair_retries\":0}}"), "{metrics}");
     }

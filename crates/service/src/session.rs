@@ -79,10 +79,9 @@ pub struct Session<'s> {
     service: &'s BccService,
     policy: SeqPolicy,
     config: SessionConfig,
-    /// One admission gate per shard (index = shard id); a query's gate is
-    /// picked by routing its graph through the service's [`ShardMap`], so
-    /// load on one shard never blocks admission to another.
-    gates: Option<&'s [Admission]>,
+    /// The admission gate queries pass before reaching the pool (TCP
+    /// sessions only).
+    gate: Option<&'s Admission>,
     /// Responses emitted so far — the next per-session seq.
     emitted: u64,
 }
@@ -101,7 +100,7 @@ impl<'s> Session<'s> {
             service,
             policy: SeqPolicy::Service,
             config: SessionConfig::default(),
-            gates: None,
+            gate: None,
             emitted: 0,
         }
     }
@@ -112,16 +111,14 @@ impl<'s> Session<'s> {
             service,
             policy: SeqPolicy::PerSession,
             config,
-            gates: None,
+            gate: None,
             emitted: 0,
         }
     }
 
-    /// Routes this session's query dispatches through per-shard admission
-    /// gates (`gates[i]` guards shard `i`; must be non-empty).
-    pub fn with_gates(mut self, gates: &'s [Admission]) -> Self {
-        debug_assert!(!gates.is_empty());
-        self.gates = Some(gates);
+    /// Routes this session's query dispatches through the admission gate.
+    pub fn with_gate(mut self, gate: &'s Admission) -> Self {
+        self.gate = Some(gate);
         self
     }
 
@@ -216,7 +213,6 @@ impl<'s> Session<'s> {
             Ok(ParsedLine::Stats) => Step::Output(self.service.stats_json()),
             Ok(ParsedLine::Graphs) => Step::Output(self.service.graphs_json()),
             Ok(ParsedLine::Metrics) => Step::Output(self.service.metrics_json()),
-            Ok(ParsedLine::Shard(cmd)) => Step::Output(self.service.shard_json(cmd)),
             Ok(ParsedLine::Mutate(mut request)) => {
                 if request.graph.is_none() {
                     request.graph = self.config.default_graph.clone();
@@ -243,10 +239,8 @@ impl<'s> Session<'s> {
         }
     }
 
-    /// Runs one query through its shard's admission gate (when gates are
-    /// attached) and the service, with this session's output index as its
-    /// seq. The gate is the one guarding the shard the request's graph
-    /// routes to — admission pressure is per-shard, like the pools.
+    /// Runs one query through the admission gate (when one is attached)
+    /// and the service, with this session's output index as its seq.
     fn dispatch_query(&self, request: QueryRequest) -> String {
         let seq = self.emitted;
         // The `admission` fault site: a synthetic gate rejection (or delay,
@@ -255,13 +249,11 @@ impl<'s> Session<'s> {
         if self.service.fault_plan().perturb(FaultSite::Admission) {
             return session_error_json(Some(seq), "overloaded", "injected fault at admission");
         }
-        let Some(gates) = self.gates else {
+        let Some(gate) = self.gate else {
             let mut response = self.service.handle(request);
             response.seq = seq;
             return response.to_json();
         };
-        let shard = self.service.shard_for(request.graph.as_deref());
-        let gate = &gates[shard.min(gates.len() - 1)];
         let deadline = request
             .timeout_ms
             .or(self.service.config().default_timeout_ms)

@@ -8,9 +8,7 @@
 use std::sync::Arc;
 
 use bcc_graph::{GraphBuilder, LabeledGraph};
-use bcc_service::{
-    BccService, BreakerState, LineOutcome, Server, ServerConfig, ServiceConfig,
-};
+use bcc_service::{BccService, LineOutcome, Server, ServerConfig, ServiceConfig};
 
 /// Two labeled 4-cliques bridged by a butterfly (a (3,3,1)-BCC).
 fn butterfly_graph() -> LabeledGraph {
@@ -60,10 +58,9 @@ fn three_group_graph() -> LabeledGraph {
     b.build()
 }
 
-fn service_with(graph: LabeledGraph, shards: usize, faults: &[&str]) -> BccService {
+fn service_with(graph: LabeledGraph, faults: &[&str]) -> BccService {
     BccService::with_graph(
         ServiceConfig {
-            shards,
             workers: 2,
             faults: faults.iter().map(|s| s.to_string()).collect(),
             ..ServiceConfig::default()
@@ -94,8 +91,8 @@ const PAIR_QUERIES: [&str; 4] = [
 /// responses to a never-faulted twin.
 #[test]
 fn worker_panics_yield_typed_errors_and_full_capacity_after() {
-    let faulty = service_with(butterfly_graph(), 1, &["worker_execute:panic:1:4"]);
-    let clean = service_with(butterfly_graph(), 1, &[]);
+    let faulty = service_with(butterfly_graph(), &["worker_execute:panic:1:4"]);
+    let clean = service_with(butterfly_graph(), &[]);
 
     // Issue every line to both twins (errors consume a seq too, so the
     // comparison below needs both sides to have seen the same workload).
@@ -117,7 +114,7 @@ fn worker_panics_yield_typed_errors_and_full_capacity_after() {
     let stats = faulty.stats();
     assert_eq!(stats.worker_panics, 4);
     assert_eq!(stats.faults_injected, 4);
-    assert_eq!(stats.shards[0].workers, 2, "pool capacity must not decay");
+    assert_eq!(stats.workers, 2, "pool capacity must not decay");
     assert_eq!(stats.cache.hits, 0, "a panicked request must never be served from cache");
     assert_eq!(stats.searches_executed, 4, "panicked attempts never reach the engine");
 
@@ -149,8 +146,8 @@ fn delay_faults_at_every_site_leave_all_responses_byte_identical() {
         "worker_execute:delay1ms:1:0",
         "scatter_pair:delay1ms:1:0",
     ];
-    let faulty = service_with(three_group_graph(), 2, &all_sites);
-    let clean = service_with(three_group_graph(), 2, &[]);
+    let faulty = service_with(three_group_graph(), &all_sites);
+    let clean = service_with(three_group_graph(), &[]);
     let workload = [
         "search ql=0 qr=4",
         "msearch q=0,4 k=3 b=1",
@@ -177,8 +174,8 @@ fn delay_faults_at_every_site_leave_all_responses_byte_identical() {
 /// was transient and uncached).
 #[test]
 fn targeted_error_fault_affects_only_its_selected_request() {
-    let faulty = service_with(butterfly_graph(), 1, &["worker_execute:error:3:1"]);
-    let clean = service_with(butterfly_graph(), 1, &[]);
+    let faulty = service_with(butterfly_graph(), &["worker_execute:error:3:1"]);
+    let clean = service_with(butterfly_graph(), &[]);
 
     for (i, line) in PAIR_QUERIES.iter().enumerate() {
         let out = expect_output(&faulty, line);
@@ -206,69 +203,14 @@ fn targeted_error_fault_affects_only_its_selected_request() {
 /// fault-free twin — the client never sees the fault at all.
 #[test]
 fn scatter_pair_panic_is_retried_and_invisible_to_the_client() {
-    let faulty = service_with(three_group_graph(), 2, &["scatter_pair:panic:1:1"]);
-    let clean = service_with(three_group_graph(), 2, &[]);
+    let faulty = service_with(three_group_graph(), &["scatter_pair:panic:1:1"]);
+    let clean = service_with(three_group_graph(), &[]);
     let line = "msearch q=0,4,8 k=3 b=1";
     assert_eq!(expect_output(&faulty, line), expect_output(&clean, line));
     let stats = faulty.stats();
     assert_eq!(stats.worker_panics, 1);
     assert_eq!(stats.pair_retries, 1);
     assert_eq!(stats.faults_injected, 1);
-}
-
-/// Opening a shard's breaker reroutes its scatter pairs to the graph's
-/// home shard without changing a byte of any response: the single-shard
-/// service is the reference, and a four-shard service with three of four
-/// breakers forced open must match it exactly.
-#[test]
-fn open_breakers_reroute_pairs_byte_identically_to_single_shard() {
-    let reference = service_with(three_group_graph(), 1, &[]);
-    let sharded = BccService::with_graph(
-        ServiceConfig {
-            shards: 4,
-            workers: 2,
-            breaker_threshold: 2,
-            // A cooldown far beyond the test's runtime: the breakers stay
-            // open (no half-open probe re-admits a pair mid-comparison).
-            breaker_cooldown_ms: 600_000,
-            ..ServiceConfig::default()
-        },
-        three_group_graph(),
-    );
-
-    // Pin the graph to shard 0, then trip every other shard's breaker.
-    expect_output(&sharded, "shard assign default 0");
-    for id in 1..4 {
-        let breaker = sharded.shard_map().shard(id).breaker();
-        breaker.record_failure();
-        breaker.record_failure();
-        assert_eq!(breaker.state(), BreakerState::Open);
-    }
-    let listing = expect_output(&sharded, "shard list");
-    assert!(
-        listing.contains("\"breakers\":[\"closed\",\"open\",\"open\",\"open\"]"),
-        "shard list must surface breaker state, got: {listing}"
-    );
-
-    let workload = [
-        "msearch q=0,4,8 k=3 b=1",
-        "search ql=0 qr=4",
-        "msearch q=4,8,0 k=3 b=1",
-        "msearch q=0,4,8 k=3 b=1 method=online",
-    ];
-    for line in workload {
-        assert_eq!(
-            expect_output(&sharded, line),
-            expect_output(&reference, line),
-            "line: {line}"
-        );
-    }
-    let stats = sharded.stats();
-    assert_eq!(stats.breaker_opens, 3);
-    assert!(
-        stats.breaker_rerouted > 0,
-        "at least one pair must have rendezvous-routed to an open shard and been rerouted home"
-    );
 }
 
 /// The session-layer sites fire over a real TCP connection: an injected
@@ -282,7 +224,6 @@ fn session_sites_fire_over_tcp_and_the_connection_survives() {
 
     let service = Arc::new(service_with(
         butterfly_graph(),
-        1,
         &["codec_decode:error:1:1", "admission:error:1:1"],
     ));
     let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())

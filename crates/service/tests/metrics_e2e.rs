@@ -293,25 +293,22 @@ fn stats_json_keeps_historical_prefix_and_appends_new_keys() {
     let tail = &json[expected_prefix.len()..];
     assert!(tail.starts_with(",\"slow_queries\":0,\"requests_by_verb\":{"), "{tail}");
     assert!(tail.contains("\"stats\":1"), "stats_json counts its own verb: {tail}");
-    // The per-shard section appends last: one keyed object per shard.
-    assert!(tail.contains(",\"shards\":{\"0\":{\"workers\":2,"), "{tail}");
-    assert!(tail.ends_with("}}"), "{tail}");
+    // The fault counters append last.
+    assert!(
+        tail.ends_with(
+            "},\"faults\":{\"injected\":0,\"worker_panics\":0,\"worker_respawns\":0,\
+             \"pair_retries\":0}}"
+        ),
+        "{tail}"
+    );
 }
 
-/// The per-shard surfaces are populated by real traffic: every executed
-/// query lands in exactly one shard's routed/executed/admitted counters in
-/// the `stats`/`metrics` JSON, and the Prometheus exposition carries the
-/// per-shard families with one labeled sample per shard.
+/// The pool surfaces are populated by real traffic: every executed query
+/// passed the admission gate and ran on the one worker pool, and the
+/// Prometheus exposition carries the unlabeled `bcc_pool_*` families.
 #[test]
-fn shard_surfaces_track_real_traffic() {
-    let svc = Arc::new(BccService::new(ServiceConfig {
-        shards: 2,
-        workers: 2,
-        cache_capacity: 0,
-        metrics: true,
-        ..ServiceConfig::default()
-    }));
-    svc.registry().insert("g".to_string(), butterfly_graph());
+fn pool_surfaces_track_real_traffic() {
+    let svc = service(true);
     let handle =
         Server::bind(Arc::clone(&svc), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(&handle, false);
@@ -319,36 +316,39 @@ fn shard_surfaces_track_real_traffic() {
         client.round_trip(&line);
     }
 
+    // 5 search + 1 msearch, cache off: every dispatch passed the gate.
     let stats = svc.stats();
-    assert_eq!(stats.shards.len(), 2);
-    let routed: u64 = stats.shards.iter().map(|s| s.routed).sum();
-    let admitted: u64 = stats.shards.iter().map(|s| s.admitted).sum();
-    // 5 search + 1 msearch, cache off: all routed, and every dispatch
-    // passed its shard's admission gate.
-    assert_eq!(routed, 6, "{stats:?}");
-    assert_eq!(admitted, 6, "{stats:?}");
+    assert_eq!(stats.admitted, 6, "{stats:?}");
+    assert_eq!(stats.rejected_overloaded, 0, "{stats:?}");
+    let sample = |prom: &str, family: &str| -> u64 {
+        let prefix = format!("\n{family} ");
+        let at = prom.find(&prefix).unwrap_or_else(|| panic!("no {family}: {prom}"));
+        let rest = &prom[at + prefix.len()..];
+        rest[..rest.find('\n').unwrap()].parse().expect("integer sample")
+    };
     // A worker bumps its pool's `executed` *after* delivering the result,
     // so the last job's tick can trail the response by an instant.
-    let executed = |svc: &BccService| -> u64 {
-        svc.stats().shards.iter().map(|s| s.executed).sum()
-    };
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while executed(&svc) < 6 && std::time::Instant::now() < deadline {
+    while sample(&svc.prometheus(), "bcc_pool_executed_total") < 6
+        && std::time::Instant::now() < deadline
+    {
         std::thread::yield_now();
     }
-    assert_eq!(executed(&svc), 6, "{:?}", svc.stats());
-    assert_eq!(stats.shards.iter().map(|s| s.rejected).sum::<u64>(), 0);
-
-    let stats_line = client.round_trip("stats");
-    assert!(stats_line.contains(",\"shards\":{\"0\":{\"workers\":2,"), "{stats_line}");
-    assert!(stats_line.contains("\"1\":{\"workers\":2,"), "{stats_line}");
-    let metrics_line = client.round_trip("metrics");
-    assert!(metrics_line.contains(",\"shards\":{\"0\":{"), "{metrics_line}");
-
     let prom = svc.prometheus();
-    for family in ["bcc_shard_routed_total", "bcc_shard_executed_total", "bcc_shard_queue_depth"] {
-        assert!(prom.contains(&format!("{family}{{shard=\"0\"}}")), "{prom}");
-        assert!(prom.contains(&format!("{family}{{shard=\"1\"}}")), "{prom}");
+    for (family, want) in [
+        ("bcc_pool_executed_total", 6),
+        ("bcc_pool_queue_depth", 0),
+        ("bcc_pool_admitted_total", 6),
+        ("bcc_pool_rejected_total", 0),
+        ("bcc_pool_worker_panics_total", 0),
+        ("bcc_pool_worker_respawns_total", 0),
+    ] {
+        assert_eq!(sample(&prom, family), want, "{family}: {prom}");
+    }
+    assert!(!prom.contains("shard"), "{prom}");
+    for verb in ["stats", "metrics"] {
+        let line = client.round_trip(verb);
+        assert!(!line.contains("shard"), "{line}");
     }
 
     drop(client);

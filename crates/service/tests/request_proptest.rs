@@ -189,3 +189,19 @@ proptest! {
         }
     }
 }
+
+/// `shard list` / `shard assign` lines get the unknown-verb parse error
+/// like any other unknown word, through the parser and the service alike.
+#[test]
+fn shard_lines_are_unknown_verbs() {
+    let service = tiny_service();
+    for line in ["shard list", "shard assign default 0"] {
+        let err = parse_line(line).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Parse, "line: {line}");
+        assert!(err.message.contains("unknown verb `shard`"), "{}", err.message);
+        let LineOutcome::Output(out) = service.process_line(line) else {
+            panic!("`{line}` must produce an error line");
+        };
+        assert!(out.contains("\"error\":\"parse\""), "{out}");
+    }
+}
