@@ -1,18 +1,24 @@
 //! Ablation study for the Section 6 design choices (beyond the paper's own
 //! Table 4): isolates the contribution of each fast strategy — bulk
 //! deletion, fast query distances (Alg. 5), and leader pairs (Algs. 6–7) —
-//! on one network, holding the answers fixed (all variants return the same
-//! communities; only the work differs).
+//! on one network, holding the answers fixed (all bulk variants return the
+//! same communities, query distances, iteration counts and leaders; only the
+//! work differs). Exits non-zero if any bulk variant changes an answer.
 //!
 //! `cargo run -p bcc-bench --release --bin ablation_strategies [--scale 1.0] [--queries 30] [--seed 7]`
 
 use std::time::Instant;
 
 use bcc_bench::{Args, PreparedNetwork, DEFAULT_SCALE};
-use bcc_core::{BccQuery, EngineConfig, MbccParams, MbccQuery, SearchStats};
+use bcc_core::{BccQuery, EngineConfig, MbccParams, MbccQuery, SearchError, SearchStats};
 use bcc_datasets::QueryConstraints;
 use bcc_eval::table::fmt_seconds;
 use bcc_eval::Table;
+use bcc_graph::VertexId;
+
+/// The strategy-independent part of a peel's outcome: community, query
+/// distance, iterations and certified leaders.
+type Answer = (Vec<VertexId>, u32, usize, Vec<VertexId>);
 
 fn main() {
     let args = Args::parse();
@@ -64,7 +70,7 @@ fn main() {
         .map(|s| s.to_string())
         .collect(),
     );
-    let mut reference: Option<Vec<Vec<bcc_graph::VertexId>>> = None;
+    let mut reference: Option<Vec<Result<Answer, SearchError>>> = None;
     for (name, config) in variants {
         let mut stats = SearchStats::default();
         let mut elapsed = 0.0f64;
@@ -85,11 +91,12 @@ fn main() {
                 bcc_core::engine::run_peel(candidate, counts, config, &mut stats)
             });
             elapsed += started.elapsed().as_secs_f64();
-            answers.push(result.map(|o| o.community).unwrap_or_default());
+            answers.push(result.map(|o| (o.community, o.query_distance, o.iterations, o.leaders)));
         }
-        // All bulk variants must agree on the answers (the fast strategies
-        // are pure accelerations); single-deletion peels in a different
-        // order and may legitimately differ.
+        // All bulk variants must agree on the answers — community, query
+        // distance, iterations and leaders, or the same error (the fast
+        // strategies are pure accelerations); single-deletion peels in a
+        // different order and may legitimately differ.
         if config.bulk {
             match &reference {
                 None => reference = Some(answers),

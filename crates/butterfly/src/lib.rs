@@ -11,7 +11,8 @@
 //!   Wang et al. [41]; the seed's hash-map kernel is retained as the
 //!   differential reference);
 //! * [`update`] — Algorithm 7, the O(d²) butterfly-degree *update* for a
-//!   leader vertex when a single vertex is deleted;
+//!   leader vertex when a single vertex (or, for the incremental index, a
+//!   single cross edge) is deleted;
 //! * [`leader`] — Algorithm 6, leader-pair identification by binary search
 //!   over the butterfly-degree threshold within ρ hops of a query vertex.
 //!

@@ -12,13 +12,19 @@
 //!
 //! Neighborhoods are in the bipartite cross-graph `B`.
 //!
-//! All routines read through [`bcc_graph::GraphRead`]: Algorithm 1 passes
-//! its live [`bcc_graph::GraphView`], the incremental index maintenance
-//! passes a bare snapshot or the mid-batch [`bcc_graph::OverlayGraph`] —
-//! no O(|V|) view construction on the maintenance path. Neighborhood
-//! membership runs on the dense epoch-stamped [`WedgeScratch`] (no hash
-//! sets); the `*_with` variants take the scratch explicitly so loops reuse
-//! one allocation across many deltas.
+//! The incremental BCindex maintenance is the caller: [`edge_decrement`]
+//! prices one cross-edge flip with these formulas. The LP peel of
+//! `bcc-core` deletes whole batches, so it refreshes each leader's χ once
+//! per batch with [`crate::butterfly_degree_of`] instead; summed over a
+//! batch, the per-deletion decrements equal exactly that drop.
+//!
+//! All routines read through [`bcc_graph::GraphRead`]: callers pass a live
+//! [`bcc_graph::GraphView`], a bare snapshot or the mid-batch
+//! [`bcc_graph::OverlayGraph`] — no O(|V|) view construction on the
+//! maintenance path. Neighborhood membership runs on the dense
+//! epoch-stamped [`WedgeScratch`] (no hash sets); the `*_with` variants
+//! take the scratch explicitly so loops reuse one allocation across many
+//! deltas.
 
 use bcc_graph::{GraphRead, VertexId, WedgeScratch};
 
@@ -30,8 +36,8 @@ use crate::counting::choose2;
 ///
 /// Returns 0 when either vertex lies outside the cross-graph. Borrows a
 /// thread-local [`WedgeScratch`] for the neighborhood marks; hot loops
-/// (e.g. the Algorithm 1 peel, the batched index patcher) should pass an
-/// explicit reused scratch via [`leader_decrement_with`].
+/// (e.g. the batched index patcher) should pass an explicit reused scratch
+/// via [`leader_decrement_with`].
 pub fn leader_decrement<G: GraphRead>(
     g: &G,
     cross: BipartiteCross,

@@ -8,6 +8,8 @@
 //! pair liveness is monotone — which is what makes the leader-pair strategy
 //! sound.
 
+use std::collections::VecDeque;
+
 use bcc_butterfly::{BipartiteCross, ButterflyCounts};
 use bcc_cohesion::LabelCoreThresholds;
 use bcc_graph::{BitSet, GraphView, Label, LabeledGraph, UnionFind, VertexId};
@@ -239,47 +241,37 @@ impl<'g> Candidate<'g> {
     }
 
     /// Removes `batch`, then cascades the label-core conditions
-    /// (Algorithm 4 lines 1–3). `before_remove` fires for every vertex —
-    /// batch or collateral — immediately *before* it is deleted, while the
-    /// view still contains it (the precondition of Algorithm 7).
+    /// (Algorithm 4 lines 1–3).
     ///
     /// Returns all removed vertices in deletion order.
-    pub fn remove_batch_with(
-        &mut self,
-        batch: &[VertexId],
-        mut before_remove: impl FnMut(&GraphView<'g>, VertexId),
-    ) -> Vec<VertexId> {
+    pub fn remove_batch(&mut self, batch: &[VertexId]) -> Vec<VertexId> {
         let mut removed = Vec::with_capacity(batch.len());
-        let mut queue: std::collections::VecDeque<VertexId> = std::collections::VecDeque::new();
+        let mut queue = VecDeque::new();
         for &v in batch {
-            if !self.view.is_alive(v) {
-                continue;
-            }
-            before_remove(&self.view, v);
-            let neighbors: Vec<VertexId> = self.view.same_label_neighbors(v).collect();
-            self.view.remove_vertex(v);
-            removed.push(v);
-            for u in neighbors {
-                if self.violates(u) {
-                    queue.push_back(u);
-                }
+            if self.view.is_alive(v) {
+                self.remove_and_enqueue(v, &mut queue);
+                removed.push(v);
             }
         }
         while let Some(v) = queue.pop_front() {
-            if !self.view.is_alive(v) || !self.violates(v) {
-                continue;
-            }
-            before_remove(&self.view, v);
-            let neighbors: Vec<VertexId> = self.view.same_label_neighbors(v).collect();
-            self.view.remove_vertex(v);
-            removed.push(v);
-            for u in neighbors {
-                if self.violates(u) {
-                    queue.push_back(u);
-                }
+            if self.view.is_alive(v) && self.violates(v) {
+                self.remove_and_enqueue(v, &mut queue);
+                removed.push(v);
             }
         }
         removed
+    }
+
+    /// Deletes `v` and queues each same-label neighbour that now violates
+    /// its label core. A dead vertex still lists its live neighbours, so no
+    /// copy of the neighbourhood is taken before the deletion.
+    fn remove_and_enqueue(&mut self, v: VertexId, queue: &mut VecDeque<VertexId>) {
+        self.view.remove_vertex(v);
+        for u in self.view.same_label_neighbors(v) {
+            if self.violates(u) {
+                queue.push_back(u);
+            }
+        }
     }
 
     #[inline]
@@ -420,15 +412,12 @@ mod tests {
         let (g, query, params) = fixture();
         let mut stats = SearchStats::default();
         let (mut candidate, _) = Candidate::find_g0(&g, &query, &params, &mut stats).unwrap();
-        let mut seen = Vec::new();
         // Deleting any left vertex collapses the whole left 4-clique
         // (3-core of 3 vertices is impossible).
-        let removed = candidate.remove_batch_with(&[VertexId(3)], |view, v| {
-            assert!(view.is_alive(v), "callback must fire pre-deletion");
-            seen.push(v);
-        });
+        let removed = candidate.remove_batch(&[VertexId(3)]);
         assert_eq!(removed.len(), 4);
-        assert_eq!(seen, removed);
+        assert_eq!(removed[0], VertexId(3), "the batch goes first, then its cascade");
+        assert!(removed.iter().all(|&v| !candidate.view.is_alive(v)));
         assert_eq!(candidate.view.alive_count(), 4);
     }
 
@@ -463,7 +452,7 @@ mod tests {
         let mut stats = SearchStats::default();
         let (mut candidate, _) = Candidate::find_g0(&g, &query, &params, &mut stats).unwrap();
         // Kill one butterfly wing: the left vertex l1 that carries cross edges.
-        candidate.remove_batch_with(&[VertexId(1)], |_, _| {});
+        candidate.remove_batch(&[VertexId(1)]);
         let counts = candidate.recount_pair(0, &mut stats);
         assert!(!counts.satisfies_leader_condition(1));
         assert!(!candidate.pair_alive[0]);

@@ -6,22 +6,22 @@
 //!   iteration (Algorithm 1 verbatim, with the bulk-deletion optimization of
 //!   Section 6 that all of the paper's methods use).
 //! * **Leader-pair (LP)** — Algorithm 5 incremental distances plus the
-//!   Algorithm 6/7 leader strategy: only the two leaders' butterfly degrees
-//!   are updated per deletion, and a full recount happens only when a leader
-//!   dies or sinks below `b`.
+//!   Algorithm 6/7 leader strategy: after each deletion batch only the two
+//!   leaders' butterfly degrees are refreshed, and a full recount happens
+//!   only when a leader dies or sinks below `b`.
 //!
 //! The loop records, per iteration, the candidate's query distance and the
 //! batch of vertices it deleted; the answer is reconstructed by replaying
 //! deletions up to the best snapshot (Theorem 3's 2-approximation argument
 //! needs exactly the minimum-query-distance intermediate graph).
 
-use bcc_butterfly::{identify_leader, leader_decrement, ButterflyCounts, LeaderConfig};
+use bcc_butterfly::{butterfly_degree_of, identify_leader, ButterflyCounts, LeaderConfig};
 use bcc_graph::{GraphView, VertexId};
 
 use crate::candidate::Candidate;
 use crate::fast_dist::IncrementalDistances;
 use crate::model::SearchError;
-use crate::stats::SearchStats;
+use crate::stats::{timed, SearchStats};
 
 /// Which optimizations of Section 6 the engine applies.
 #[derive(Clone, Copy, Debug)]
@@ -71,13 +71,11 @@ impl EngineConfig {
     }
 }
 
-/// The leader pair of one label pair, with cached butterfly degrees.
+/// The leader pair of one label pair.
 #[derive(Clone, Copy, Debug)]
 struct PairLeaders {
     left: VertexId,
-    chi_left: u64,
     right: VertexId,
-    chi_right: u64,
 }
 
 /// Output of the peel loop before it is packaged into a
@@ -159,49 +157,13 @@ pub fn run_peel(
         } else {
             vec![farthest[0]]
         };
-
-        // Per-deletion leader updates (Algorithm 7) run in the pre-removal
-        // callback; collect timing manually to keep the closure light.
-        let pair_cross: Vec<_> = (0..candidate.pairs.len())
-            .map(|idx| candidate.cross_of(idx))
-            .collect();
-        let pair_alive_now = candidate.pair_alive.clone();
-        let mut leader_time = std::time::Duration::ZERO;
-        let mut leader_updates = 0u64;
-        let removed = candidate.remove_batch_with(&batch, |view, v| {
-            if !config.leader_pairs {
-                return;
-            }
-            let t = std::time::Instant::now();
-            for (idx, leader) in leaders.iter_mut().enumerate() {
-                if !pair_alive_now[idx] {
-                    continue;
-                }
-                let Some(pl) = leader.as_mut() else { continue };
-                // Algorithm 7 is defined on the pre-removal state: a dead v
-                // would make every decrement silently 0 (dead vertices have
-                // no live neighbors through GraphRead).
-                debug_assert!(view.is_alive(v), "leader updates run before the deletion of {v}");
-                if view.is_alive(pl.left) && pl.left != v {
-                    pl.chi_left -= leader_decrement(view, pair_cross[idx], pl.left, v);
-                    leader_updates += 1;
-                }
-                if view.is_alive(pl.right) && pl.right != v {
-                    pl.chi_right -= leader_decrement(view, pair_cross[idx], pl.right, v);
-                    leader_updates += 1;
-                }
-            }
-            leader_time += t.elapsed();
-        });
-        stats.time_leader_update += leader_time;
-        stats.leader_updates += leader_updates;
+        let removed = candidate.remove_batch(&batch);
         stats.vertices_deleted += removed.len() as u64;
         stats.iterations += 1;
-        batches.push(removed.clone());
-
         if config.fast_dist {
             dists.update_after_removal(&candidate.view, &removed, stats);
         }
+        batches.push(removed);
 
         // Butterfly-core maintenance (Algorithm 4 line 4).
         #[allow(clippy::needless_range_loop)] // leaders[idx] and candidate.pair_alive[idx] are co-indexed
@@ -210,14 +172,25 @@ pub fn run_peel(
                 continue;
             }
             if config.leader_pairs {
+                let view = &candidate.view;
                 let needs_recount = match leaders[idx] {
-                    Some(pl) => {
-                        !candidate.view.is_alive(pl.left)
-                            || !candidate.view.is_alive(pl.right)
-                            || pl.chi_left < b
-                            || pl.chi_right < b
+                    Some(pl) if view.is_alive(pl.left) && view.is_alive(pl.right) => {
+                        // Algorithm 7, once per batch: each butterfly through
+                        // a leader that the batch destroyed dies exactly
+                        // once, so the per-deletion decrements sum to the
+                        // drop in the leader's χ — which one count on the
+                        // post-batch view gives directly.
+                        let cross = candidate.cross_of(idx);
+                        let (chi_left, chi_right) = timed(&mut stats.time_leader_update, || {
+                            (
+                                butterfly_degree_of(view, cross, pl.left),
+                                butterfly_degree_of(view, cross, pl.right),
+                            )
+                        });
+                        stats.leader_updates += 2;
+                        chi_left < b || chi_right < b
                     }
-                    None => true,
+                    _ => true,
                 };
                 if needs_recount {
                     let counts = candidate.recount_pair(idx, stats);
@@ -324,12 +297,7 @@ fn pick_leaders(
         &counts.chi,
         config,
     );
-    PairLeaders {
-        left,
-        chi_left: counts.chi(left),
-        right,
-        chi_right: counts.chi(right),
-    }
+    PairLeaders { left, right }
 }
 
 #[cfg(test)]

@@ -1,18 +1,26 @@
 //! Algorithm 5 — fast query-distance computation.
 //!
-//! After a deletion round removes `D_i` from `G_i`, only vertices whose old
-//! distance exceeded `d_min = min_{v ∈ D_i} dist(v, q)` can change distance
-//! (any shorter path ran exclusively through vertices closer than `d_min`,
-//! all of which survived). Algorithm 5 therefore resets just that suffix
-//! (`S_u`) and re-runs a BFS from the still-settled ring at exactly `d_min`
-//! (`S_s`), instead of a full BFS from the query.
+//! After a deletion round removes `D_i` from `G_i`, a vertex's hop distance
+//! from a query can only grow, and it grows exactly when every shortest path
+//! to it ran through `D_i`. The paper's Algorithm 5 resets the whole suffix
+//! beyond `d_min = min_{v ∈ D_i} dist(v, q)` and re-runs BFS over it; on a
+//! large candidate that suffix is most of the graph while only a thin shell
+//! actually moves. This module maintains the arrays with an exact
+//! decremental update instead:
 //!
-//! To make the update touch only `|S_s| + |S_u|` vertices (and not scan the
-//! whole graph to *find* them), we bucket vertices by distance level with
-//! lazy invalidation: a bucket entry is live iff the vertex's current
-//! distance still equals the bucket level. The common case the paper points
-//! out — the query whose own farthest shell was deleted has `S_u = ∅` —
-//! then costs O(|D_i|).
+//! 1. **Affected set.** Walk level by level from the deleted vertices'
+//!    children (alive neighbours one level farther). A child is affected
+//!    only when no live, unaffected neighbour one level closer survives;
+//!    an affected vertex's own children are examined at the next level.
+//! 2. **Re-settle.** Reset just the affected vertices, seed each from its
+//!    surviving neighbours, and settle them with a bucketed BFS in
+//!    increasing distance order.
+//!
+//! Unaffected vertices keep a shortest path, so their distances are final;
+//! hop distances are unique, so the arrays equal a fresh BFS after every
+//! update. The work is proportional to the affected vertices and their
+//! neighbourhoods — the common case the paper points out (the batch was a
+//! query's own farthest shell) touches only the batch's neighbours.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -35,43 +43,38 @@ pub struct IncrementalDistances {
     /// `dist[i][v]` = hop distance from query `i` to vertex `v`
     /// ([`INF_DIST`] for dead/unreachable vertices).
     pub dist: Vec<Vec<u32>>,
-    /// `buckets[i][d]` = vertices that were assigned distance `d` from
-    /// query `i` (lazy: entries whose current distance differs are stale).
-    buckets: Vec<Vec<Vec<VertexId>>>,
+    /// Work lists of the decremental update, reused across batches.
+    scratch: UpdateScratch,
+}
+
+/// The reusable buffers of [`IncrementalDistances::update_after_removal`].
+#[derive(Clone, Debug, Default)]
+struct UpdateScratch {
+    /// The batch's reachable vertices with their pre-deletion distance,
+    /// sorted by it.
+    deleted: Vec<(u32, VertexId)>,
+    /// Vertices that lost their distance at the level being walked, and
+    /// those found at the next one.
+    frontier: Vec<VertexId>,
+    next: Vec<VertexId>,
+    /// Every affected vertex of the current query.
+    affected: Vec<VertexId>,
+    /// `buckets[i]` holds vertices with tentative distance `base + i`.
+    buckets: Vec<Vec<VertexId>>,
 }
 
 impl IncrementalDistances {
     /// Full BFS from every query (the expensive baseline that Algorithm 5
     /// avoids repeating).
     pub fn compute(view: &GraphView<'_>, queries: &[VertexId], stats: &mut SearchStats) -> Self {
-        let (dist, buckets) = timed(&mut stats.time_query_distance, || {
-            let mut dist = Vec::with_capacity(queries.len());
-            let mut buckets = Vec::with_capacity(queries.len());
-            for &q in queries {
-                let d = bcc_graph::bfs_distances(view, q);
-                let max = view
-                    .alive_vertices()
-                    .map(|v| d[v.index()])
-                    .filter(|&x| x != INF_DIST)
-                    .max()
-                    .unwrap_or(0);
-                let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max as usize + 1];
-                for v in view.alive_vertices() {
-                    let dv = d[v.index()];
-                    if dv != INF_DIST {
-                        levels[dv as usize].push(v);
-                    }
-                }
-                dist.push(d);
-                buckets.push(levels);
-            }
-            (dist, buckets)
+        let dist = timed(&mut stats.time_query_distance, || {
+            queries.iter().map(|&q| bcc_graph::bfs_distances(view, q)).collect()
         });
         stats.full_bfs_runs += queries.len() as u64;
         IncrementalDistances {
             queries: queries.to_vec(),
             dist,
-            buckets,
+            scratch: UpdateScratch::default(),
         }
     }
 
@@ -100,35 +103,19 @@ impl IncrementalDistances {
         let SearchStats {
             time_query_distance, time_dist_expand, time_dist_merge, ..
         } = stats;
-        let (dist, buckets) = timed(time_query_distance, || {
-            let mut dist = Vec::with_capacity(queries.len());
-            let mut buckets = Vec::with_capacity(queries.len());
-            for &q in queries {
-                let d =
-                    bfs_distances_parallel(view, q, threads, time_dist_expand, time_dist_merge);
-                let max = view
-                    .alive_vertices()
-                    .map(|v| d[v.index()])
-                    .filter(|&x| x != INF_DIST)
-                    .max()
-                    .unwrap_or(0);
-                let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max as usize + 1];
-                for v in view.alive_vertices() {
-                    let dv = d[v.index()];
-                    if dv != INF_DIST {
-                        levels[dv as usize].push(v);
-                    }
-                }
-                dist.push(d);
-                buckets.push(levels);
-            }
-            (dist, buckets)
+        let dist = timed(time_query_distance, || {
+            queries
+                .iter()
+                .map(|&q| {
+                    bfs_distances_parallel(view, q, threads, time_dist_expand, time_dist_merge)
+                })
+                .collect()
         });
         stats.full_bfs_runs += queries.len() as u64;
         IncrementalDistances {
             queries: queries.to_vec(),
             dist,
-            buckets,
+            scratch: UpdateScratch::default(),
         }
     }
 
@@ -141,67 +128,11 @@ impl IncrementalDistances {
         stats: &mut SearchStats,
     ) {
         timed(&mut stats.time_query_distance, || {
-            for qi in 0..self.queries.len() {
-                self.update_one(view, qi, removed);
+            for (&q, dist) in self.queries.iter().zip(&mut self.dist) {
+                update_one(view, q, dist, removed, &mut self.scratch);
             }
         });
         stats.incremental_dist_updates += 1;
-    }
-
-    fn update_one(&mut self, view: &GraphView<'_>, qi: usize, removed: &[VertexId]) {
-        let q = self.queries[qi];
-        let dist = &mut self.dist[qi];
-        let buckets = &mut self.buckets[qi];
-        if !view.is_alive(q) {
-            dist.fill(INF_DIST);
-            buckets.clear();
-            return;
-        }
-        // d_min over the deleted set (line 2).
-        let d_min = removed
-            .iter()
-            .map(|v| dist[v.index()])
-            .min()
-            .unwrap_or(INF_DIST);
-        for v in removed {
-            dist[v.index()] = INF_DIST;
-        }
-        if d_min == INF_DIST {
-            // Only unreachable vertices died: S_u = ∅, nothing to update.
-            return;
-        }
-        let d_min = d_min as usize;
-        // S_u (line 4): every alive vertex farther than d_min — exactly the
-        // live entries of the buckets above d_min. Reset them to ∞. A
-        // vertex may also appear as a *stale* entry at a level above its
-        // current distance (BFS improvements leave the old entry behind);
-        // the level check skips those so settled distances survive.
-        for (level_idx, level) in buckets.iter_mut().enumerate().skip(d_min + 1) {
-            for &v in level.iter() {
-                if view.is_alive(v) && dist[v.index()] == level_idx as u32 {
-                    dist[v.index()] = INF_DIST;
-                }
-            }
-            level.clear();
-        }
-        // S_s (line 3): the settled ring at exactly d_min.
-        buckets[d_min].retain(|&v| view.is_alive(v) && dist[v.index()] == d_min as u32);
-        let mut queue: std::collections::VecDeque<VertexId> = buckets[d_min].iter().copied().collect();
-        // BFS restart (line 5). Settled vertices have dist ≤ d_min < any
-        // proposed distance, so the `next < dist` check leaves them alone.
-        while let Some(v) = queue.pop_front() {
-            let next = dist[v.index()] + 1;
-            for u in view.neighbors(v) {
-                if next < dist[u.index()] {
-                    dist[u.index()] = next;
-                    if buckets.len() <= next as usize {
-                        buckets.resize(next as usize + 1, Vec::new());
-                    }
-                    buckets[next as usize].push(u);
-                    queue.push_back(u);
-                }
-            }
-        }
     }
 
     /// `dist(v, Q)` of Definition 5 (maximum over queries).
@@ -246,6 +177,120 @@ impl IncrementalDistances {
         let first = &self.dist[0];
         self.queries.iter().all(|q| first[q.index()] != INF_DIST)
     }
+}
+
+/// The exact decremental update of one query's distance array (see the
+/// module docs): find the vertices that lost every shortest-path parent,
+/// then re-settle only those.
+fn update_one(
+    view: &GraphView<'_>,
+    q: VertexId,
+    dist: &mut [u32],
+    removed: &[VertexId],
+    scratch: &mut UpdateScratch,
+) {
+    if !view.is_alive(q) {
+        dist.fill(INF_DIST);
+        return;
+    }
+    let UpdateScratch { deleted, frontier, next, affected, buckets } = scratch;
+    deleted.clear();
+    for &v in removed {
+        let d = dist[v.index()];
+        if d != INF_DIST {
+            deleted.push((d, v));
+            dist[v.index()] = INF_DIST;
+        }
+    }
+    if deleted.is_empty() {
+        // Only unreachable vertices died: nothing else can move.
+        return;
+    }
+    deleted.sort_unstable();
+
+    // Affected set, level by level. Every vertex at `level` that lost its
+    // distance is in `frontier` and already reset, so a child one level
+    // farther keeps its distance iff some live neighbour still sits at
+    // `level`.
+    affected.clear();
+    frontier.clear();
+    let mut level = deleted[0].0;
+    let mut pending = deleted.iter().peekable();
+    loop {
+        while let Some(&(_, v)) = pending.next_if(|&&(d, _)| d == level) {
+            frontier.push(v);
+        }
+        if frontier.is_empty() {
+            match pending.peek() {
+                Some(&&(d, _)) => level = d,
+                None => break,
+            }
+            continue;
+        }
+        let child = level + 1;
+        next.clear();
+        for &p in frontier.iter() {
+            for c in view.neighbors(p) {
+                if dist[c.index()] == child
+                    && !view.neighbors(c).any(|w| dist[w.index()] == level)
+                {
+                    dist[c.index()] = INF_DIST;
+                    next.push(c);
+                }
+            }
+        }
+        affected.extend_from_slice(next);
+        std::mem::swap(frontier, next);
+        level = child;
+    }
+    if affected.is_empty() {
+        return;
+    }
+
+    // Re-settle. An affected vertex's new distance exceeds its old one,
+    // which exceeds the shallowest deleted level, so `base` bounds every
+    // tentative distance from below. A seed is the length of a real path
+    // (through a neighbour with a final or tentative distance), so settling
+    // the buckets in increasing order yields exact distances; entries whose
+    // vertex has since improved are stale and skipped.
+    let base = deleted[0].0 + 1;
+    let mut top = 0;
+    for &u in affected.iter() {
+        let seed = view.neighbors(u).map(|w| dist[w.index()]).min().unwrap_or(INF_DIST);
+        if seed != INF_DIST {
+            dist[u.index()] = seed + 1;
+            let slot = (seed + 1 - base) as usize;
+            bucket_push(buckets, slot, u);
+            top = top.max(slot);
+        }
+    }
+    let mut slot = 0;
+    while slot <= top && slot < buckets.len() {
+        let d = base + slot as u32;
+        let mut bucket = std::mem::take(&mut buckets[slot]);
+        for &u in &bucket {
+            if dist[u.index()] != d {
+                continue;
+            }
+            for x in view.neighbors(u) {
+                if d + 1 < dist[x.index()] {
+                    dist[x.index()] = d + 1;
+                    bucket_push(buckets, slot + 1, x);
+                    top = top.max(slot + 1);
+                }
+            }
+        }
+        bucket.clear();
+        buckets[slot] = bucket;
+        slot += 1;
+    }
+}
+
+fn bucket_push(buckets: &mut Vec<Vec<VertexId>>, slot: usize, v: VertexId) {
+    if buckets.len() <= slot {
+        buckets.resize_with(slot + 1, Vec::new);
+    }
+    buckets[slot].push(v);
 }
 
 /// Chunked frontier-parallel single-source BFS: the level-synchronous
@@ -400,7 +445,6 @@ mod tests {
             let par =
                 IncrementalDistances::compute_with_threads(&view, &queries, threads, &mut stats);
             assert_eq!(par.dist, seq.dist, "threads {threads}");
-            assert_eq!(par.buckets, seq.buckets, "threads {threads}");
             assert_eq!(stats.full_bfs_runs, 2);
         }
         // Sequential path never touches the sub-phase slots.
@@ -491,8 +535,8 @@ mod tests {
 
     #[test]
     fn distances_can_grow_across_repeated_updates() {
-        // A ring: deleting vertices forces ever-longer detours, exercising
-        // the bucket resize path (new levels beyond the initial maximum).
+        // A ring: deleting vertices forces ever-longer detours, so the
+        // re-settle reaches levels beyond the initial maximum.
         let mut b = GraphBuilder::new();
         let vs: Vec<_> = (0..12).map(|_| b.add_vertex("A")).collect();
         for i in 0..12 {

@@ -9,7 +9,7 @@
 //! | Problem 1 (BCC search) | [`OnlineBcc::search`] et al. |
 //! | Algorithm 1 (online greedy, 2-approx) | [`OnlineBcc`], [`engine`] |
 //! | Algorithm 2 (finding G₀) | [`candidate::Candidate::find_g0`] |
-//! | Algorithm 4 (BCC maintenance) | [`candidate::Candidate::remove_batch_with`] + engine recounts |
+//! | Algorithm 4 (BCC maintenance) | [`candidate::Candidate::remove_batch`] + engine recounts |
 //! | Algorithm 5 (fast query distance) | [`fast_dist::IncrementalDistances`] |
 //! | Algorithms 6–7 (leader pairs) | [`LpBcc`] (via `bcc-butterfly`) |
 //! | Section 6.3 (BCindex + local search, Algorithm 8) | [`BccIndex`], [`L2pBcc`] |

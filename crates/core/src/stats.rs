@@ -16,7 +16,9 @@ pub struct SearchStats {
     /// Invocations of the full butterfly-counting procedure (Algorithm 3)
     /// — the `#butterfly counting` row of Table 4.
     pub butterfly_countings: u64,
-    /// Invocations of the per-leader O(d²) update (Algorithm 7).
+    /// Leader butterfly-degree refreshes (Algorithm 7, applied once per
+    /// deletion batch): after every LP batch, two for each live label pair
+    /// whose leaders both survived it.
     pub leader_updates: u64,
     /// Full single-source BFS traversals performed for query distances.
     pub full_bfs_runs: u64,
@@ -41,8 +43,9 @@ pub struct SearchStats {
     pub time_core_decomp: Duration,
     /// Wall time spent in full butterfly counting.
     pub time_butterfly_counting: Duration,
-    /// Wall time spent updating leader butterfly degrees (Algorithm 7) and
-    /// re-identifying leaders (Algorithm 6).
+    /// Wall time spent refreshing leader butterfly degrees after each
+    /// deletion batch (Algorithm 7) and re-identifying leaders
+    /// (Algorithm 6).
     pub time_leader_update: Duration,
     /// End-to-end wall time of the search.
     pub time_total: Duration,

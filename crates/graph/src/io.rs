@@ -54,10 +54,16 @@ impl From<io::Error> for ParseError {
     }
 }
 
+/// One `v` record: id, label, optional name, and the line it came from.
+type VertexRecord = (u32, String, Option<String>, usize);
+
 /// Reads a labeled graph from the text format described in the module docs.
+///
+/// Vertex records are placed by id only once the file is read, when their
+/// count is known, so a stray huge id is an error and never an allocation.
 pub fn read_graph<R: Read>(reader: R) -> Result<LabeledGraph, ParseError> {
     let reader = BufReader::new(reader);
-    let mut vertices: Vec<Option<(String, Option<String>)>> = Vec::new();
+    let mut records: Vec<VertexRecord> = Vec::new();
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut any_named = false;
 
@@ -76,11 +82,11 @@ pub fn read_graph<R: Read>(reader: R) -> Result<LabeledGraph, ParseError> {
         };
         match tag {
             "v" => {
-                let id: usize = parts
+                let id: u32 = parts
                     .next()
                     .ok_or_else(|| malformed("vertex line missing id"))?
                     .parse()
-                    .map_err(|_| malformed("vertex id is not an integer"))?;
+                    .map_err(|_| malformed("vertex id is not an integer in 0..2^32"))?;
                 let label = parts
                     .next()
                     .ok_or_else(|| malformed("vertex line missing label"))?
@@ -92,13 +98,7 @@ pub fn read_graph<R: Read>(reader: R) -> Result<LabeledGraph, ParseError> {
                     any_named = true;
                     Some(rest.join(" "))
                 };
-                if id >= vertices.len() {
-                    vertices.resize(id + 1, None);
-                }
-                if vertices[id].is_some() {
-                    return Err(malformed(&format!("duplicate vertex id {id}")));
-                }
-                vertices[id] = Some((label, name));
+                records.push((id, label, name, line_no));
             }
             "e" => {
                 let u: u32 = parts
@@ -119,26 +119,33 @@ pub fn read_graph<R: Read>(reader: R) -> Result<LabeledGraph, ParseError> {
         }
     }
 
+    // Dense ids: with n records, every id must lie below n, and then n
+    // distinct ids fill 0..n exactly.
+    let n = records.len();
+    let mut slot_of: Vec<Option<usize>> = vec![None; n];
+    for (idx, &(id, _, _, line)) in records.iter().enumerate() {
+        let malformed = |message: String| ParseError::Malformed { line, message };
+        let slot = slot_of.get_mut(id as usize).ok_or_else(|| {
+            malformed(format!(
+                "vertex id {id} out of range: the file declares {n} vertices (ids must be dense)"
+            ))
+        })?;
+        if slot.is_some() {
+            return Err(malformed(format!("duplicate vertex id {id}")));
+        }
+        *slot = Some(idx);
+    }
+
     let mut builder = GraphBuilder::new();
-    for (id, slot) in vertices.iter().enumerate() {
-        match slot {
-            Some((label, name)) => {
-                let v = if any_named {
-                    builder.add_named_vertex(name.as_deref().unwrap_or(""), label)
-                } else {
-                    builder.add_vertex(label)
-                };
-                debug_assert_eq!(v.index(), id);
-            }
-            None => {
-                return Err(ParseError::Malformed {
-                    line: 0,
-                    message: format!("vertex id {id} never declared (ids must be dense)"),
-                });
-            }
+    for idx in slot_of.into_iter().flatten() {
+        let (_, label, name, _) = &records[idx];
+        if any_named {
+            builder.add_named_vertex(name.as_deref().unwrap_or(""), label);
+        } else {
+            builder.add_vertex(label);
         }
     }
-    let n = vertices.len() as u32;
+    let n = n as u32;
     for (u, v) in edges {
         if u >= n || v >= n {
             return Err(ParseError::Malformed {
@@ -302,10 +309,50 @@ mod tests {
         assert!(matches!(err, ParseError::Malformed { .. }));
     }
 
+    /// Ids that do not fit `u32`, or reach past the record count, are parse
+    /// errors with their line: a reader that sized its vertex table by the
+    /// id would panic or ask for hundreds of gigabytes.
+    #[test]
+    fn rejects_huge_vertex_ids_without_allocating() {
+        for (text, needle) in [
+            ("v 18446744073709551615 B\n", "not an integer in 0..2^32"),
+            ("v 4294967296 B\n", "not an integer in 0..2^32"),
+            ("v 3000000000 B\n", "vertex id 3000000000 out of range"),
+        ] {
+            match read_graph(text.as_bytes()).unwrap_err() {
+                ParseError::Malformed { line, message } => {
+                    assert_eq!(line, 1, "{text:?}");
+                    assert!(message.contains(needle), "{text:?}: {message}");
+                }
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
+        let text = "v 0 A\n# gap\nv 5 A\n";
+        match read_graph(text.as_bytes()).unwrap_err() {
+            ParseError::Malformed { line, .. } => assert_eq!(line, 3),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn ids_may_come_in_any_order() {
+        let text = "v 2 C\nv 0 A\nv 1 B\ne 0 2\n";
+        let g = read_graph(text.as_bytes()).unwrap();
+        assert_eq!(g.interner().name(g.label(VertexId(0))), Some("A"));
+        assert_eq!(g.interner().name(g.label(VertexId(2))), Some("C"));
+        assert!(g.has_edge(VertexId(0), VertexId(2)));
+    }
+
     #[test]
     fn rejects_duplicate_vertex() {
         let text = "v 0 A\nv 0 B\n";
-        assert!(read_graph(text.as_bytes()).is_err());
+        match read_graph(text.as_bytes()).unwrap_err() {
+            ParseError::Malformed { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("duplicate vertex id 0"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -34,33 +34,6 @@ pub fn bfs_distances<G: GraphRead>(view: &GraphView<'_, G>, source: VertexId) ->
     dist
 }
 
-/// BFS from a set of equally-distant sources (`dist = start_dist` for each
-/// source). Only vertices in `unsettled` may be assigned a distance; all
-/// other vertices act as already-visited walls. This is the kernel of the
-/// fast query-distance update of Algorithm 5.
-pub fn bfs_from_frontier<G: GraphRead>(
-    view: &GraphView<'_, G>,
-    frontier: &[(VertexId, u32)],
-    dist: &mut [u32],
-    may_update: impl Fn(VertexId) -> bool,
-) {
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
-    for &(v, d) in frontier {
-        debug_assert!(view.is_alive(v));
-        debug_assert!(dist[v.index()] == d);
-        queue.push_back(v);
-    }
-    while let Some(v) = queue.pop_front() {
-        let next = dist[v.index()].saturating_add(1);
-        for u in view.neighbors(v) {
-            if may_update(u) && next < dist[u.index()] {
-                dist[u.index()] = next;
-                queue.push_back(u);
-            }
-        }
-    }
-}
-
 /// Per-query BFS distances for a query set, plus the combined per-vertex
 /// query distance of Definition 5:
 /// `dist(v, Q) = max_{q ∈ Q} dist(v, q)`.
