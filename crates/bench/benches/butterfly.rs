@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bcc_butterfly::{
-    butterfly_degrees, butterfly_degrees_hash, butterfly_degrees_priority, leader_decrement,
-    total_butterflies, total_butterflies_priority, BipartiteCross, ButterflyCounts,
+    butterfly_degrees, butterfly_degrees_hash, leader_decrement, total_butterflies, BipartiteCross,
+    ButterflyCounts,
 };
 use bcc_datasets::{PlantedConfig, PlantedNetwork};
 use bcc_graph::{GraphView, Label};
@@ -41,19 +41,9 @@ fn bench_counting(c: &mut Criterion) {
             |b, _| b.iter(|| butterfly_degrees_hash(&view, cross)),
         );
         group.bench_with_input(
-            BenchmarkId::new("alg3_per_vertex_priority", communities),
-            &communities,
-            |b, _| b.iter(|| butterfly_degrees_priority(&view, cross)),
-        );
-        group.bench_with_input(
             BenchmarkId::new("side_sum_total", communities),
             &communities,
             |b, _| b.iter(|| total_butterflies(&view, cross)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("vertex_priority_total", communities),
-            &communities,
-            |b, _| b.iter(|| total_butterflies_priority(&view, cross)),
         );
     }
     group.finish();

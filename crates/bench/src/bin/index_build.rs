@@ -10,11 +10,9 @@
 //! non-zero on violation; CI runs it under `--release` on every push):
 //!
 //! 1. **χ kernel** — the wedge-counting pass that dominates the build,
-//!    timed three ways: the seed's `FxHashMap` kernel (`hash`), the dense
-//!    epoch-stamped scratch kernel (`flat`), and the BFC-VP vertex-priority
-//!    kernel (`priority`, two-label networks — the aggregate-χ pass of a
-//!    many-label network has no priority variant). All outputs must be
-//!    equal, and **flat must strictly beat hash** (min over `--repeats`).
+//!    timed two ways: the seed's `FxHashMap` kernel (`hash`) and the dense
+//!    epoch-stamped scratch kernel (`flat`). Both outputs must be equal,
+//!    and **flat must strictly beat hash** (min over `--repeats`).
 //! 2. **Parallel build** — `BccIndex::build_with_threads` at 1, 2, and N
 //!    threads (N = available cores). Every configuration must be
 //!    **bit-identical** to the seed implementation
@@ -31,7 +29,7 @@ use std::time::{Duration, Instant};
 use bcc_bench::Args;
 use bcc_core::{hetero_butterfly_degrees, hetero_butterfly_degrees_hash, BccIndex};
 use bcc_eval::Table;
-use bcc_graph::{GraphView, Label, LabeledGraph};
+use bcc_graph::{GraphView, LabeledGraph};
 
 /// Minimum wall time of `f`, over `repeats` runs (first-touch effects and
 /// scheduler noise wash out of the minimum).
@@ -59,10 +57,9 @@ struct KernelRow {
     labels: usize,
     hash_ms: f64,
     flat_ms: f64,
-    priority_ms: Option<f64>,
 }
 
-/// Section 1: the χ pass, hash vs flat (vs priority where defined).
+/// Section 1: the χ pass, hash vs flat.
 fn bench_kernels(name: &str, graph: &LabeledGraph, repeats: usize) -> KernelRow {
     let view = GraphView::new(graph);
     let (hash_time, hash_chi) = time_min(repeats, || hetero_butterfly_degrees_hash(&view));
@@ -71,16 +68,6 @@ fn bench_kernels(name: &str, graph: &LabeledGraph, repeats: usize) -> KernelRow 
         flat_chi, hash_chi,
         "INVARIANT VIOLATED: flat χ kernel diverged from the hash kernel on {name}"
     );
-    let priority_ms = (graph.label_count() == 2).then(|| {
-        let cross = bcc_butterfly::BipartiteCross::new(Label(0), Label(1));
-        let (priority_time, priority_chi) =
-            time_min(repeats, || bcc_butterfly::butterfly_degrees_priority(graph, cross));
-        assert_eq!(
-            priority_chi, hash_chi,
-            "INVARIANT VIOLATED: priority χ kernel diverged from the hash kernel on {name}"
-        );
-        ms(priority_time)
-    });
     KernelRow {
         network: name.to_string(),
         vertices: graph.vertex_count(),
@@ -88,7 +75,6 @@ fn bench_kernels(name: &str, graph: &LabeledGraph, repeats: usize) -> KernelRow 
         labels: graph.label_count(),
         hash_ms: ms(hash_time),
         flat_ms: ms(flat_time),
-        priority_ms,
     }
 }
 
@@ -171,7 +157,7 @@ fn main() {
         .map(|(name, graph)| bench_kernels(name, graph, repeats))
         .collect();
     let mut kernel_table = Table::new(
-        format!("BCindex χ kernel: hash vs flat vs priority (min of {repeats} runs)"),
+        format!("BCindex χ kernel: hash vs flat (min of {repeats} runs)"),
         vec![
             "network".into(),
             "|V|".into(),
@@ -179,7 +165,6 @@ fn main() {
             "labels".into(),
             "hash ms".into(),
             "flat ms".into(),
-            "priority ms".into(),
             "flat speedup".into(),
         ],
     );
@@ -191,7 +176,6 @@ fn main() {
             row.labels.to_string(),
             format!("{:.3}", row.hash_ms),
             format!("{:.3}", row.flat_ms),
-            row.priority_ms.map_or("-".into(), |p| format!("{p:.3}")),
             format!("{:.2}x", row.hash_ms / row.flat_ms),
         ]);
     }

@@ -16,12 +16,7 @@
 //!
 //! * [`butterfly_degrees`] / [`butterfly_degree_of`] — Algorithm 3 on the
 //!   flat scratch;
-//! * [`butterfly_degrees_priority`] — the same per-vertex counts via
-//!   vertex-priority wedge processing in the style of Wang et al. [41]
-//!   (BFC-VP): every butterfly is charged to its highest-priority vertex,
-//!   bounding repeated wedge work on skewed degree distributions;
-//! * [`total_butterflies`] / [`total_butterflies_priority`] — exact global
-//!   counts on the same scratch;
+//! * [`total_butterflies`] — the exact global count on the same scratch;
 //! * [`butterfly_degrees_hash`] — the seed's `FxHashMap` kernel, retained
 //!   verbatim as the differential reference for tests and the
 //!   `index_build` benchmark.
@@ -277,70 +272,6 @@ pub fn butterfly_degrees_hash<G: GraphRead>(g: &G, cross: BipartiteCross) -> Vec
     chi
 }
 
-/// The cross-degree of every vertex in `cross`, the priority key of the
-/// vertex-priority kernels (0 for vertices outside the cross-graph).
-fn cross_degrees<G: GraphRead>(g: &G, cross: BipartiteCross) -> Vec<u32> {
-    let mut deg = vec![0u32; g.vertex_count()];
-    for v in g.vertices() {
-        if cross.contains(g, v) {
-            deg[v.index()] = cross.cross_degree(g, v) as u32;
-        }
-    }
-    deg
-}
-
-/// Per-vertex butterfly degrees via vertex-priority wedge processing
-/// (BFC-VP, Wang et al. [41]): every butterfly is enumerated exactly once,
-/// from its highest-priority vertex `u` (priority orders by cross degree,
-/// then id), and its +1 is credited to all four members. High-degree hubs
-/// are therefore never re-walked from their low-degree partners, which
-/// bounds repeated wedge work on skewed degree distributions.
-///
-/// Exact — returns the same array as [`butterfly_degrees`], pinned by the
-/// differential suites.
-pub fn butterfly_degrees_priority<G: GraphRead>(g: &G, cross: BipartiteCross) -> Vec<u64> {
-    let n = g.vertex_count();
-    let mut chi = vec![0u64; n];
-    let deg = cross_degrees(g, cross);
-    let priority = |v: VertexId| (deg[v.index()], v.0);
-    let mut scratch = WedgeScratch::new(n);
-    // (mid, far) wedge pairs below the current start vertex, reused.
-    let mut wedges: Vec<(u32, u32)> = Vec::new();
-    for u in g.vertices() {
-        if cross.opposite(g.label(u)).is_none() {
-            continue;
-        }
-        scratch.reset_for(n);
-        wedges.clear();
-        let pu = priority(u);
-        for v in cross.cross_neighbors(g, u) {
-            if priority(v) >= pu {
-                continue;
-            }
-            for w in cross.cross_neighbors(g, v) {
-                if w != u && priority(w) < pu {
-                    scratch.bump(w);
-                    wedges.push((v.0, w.0));
-                }
-            }
-        }
-        // A far endpoint w with c wedges closes C(c, 2) butterflies with u;
-        // each is one butterfly of u and of w, and each wedge mid v is in
-        // c − 1 of them (one per other mid sharing the (u, w) pair).
-        let mut du = 0u64;
-        for &w in scratch.touched() {
-            let pairs = choose2(scratch.count(VertexId(w)) as u64);
-            du += pairs;
-            chi[w as usize] += pairs;
-        }
-        chi[u.index()] += du;
-        for &(v, w) in &wedges {
-            chi[v as usize] += (scratch.count(VertexId(w)) - 1) as u64;
-        }
-    }
-    chi
-}
-
 /// Exact global butterfly count. Each butterfly has exactly two vertices on
 /// either side, so summing the Algorithm 3 per-vertex kernel over one side
 /// counts every butterfly twice; the side is chosen to minimize the wedge
@@ -366,37 +297,6 @@ pub fn total_butterflies<G: GraphRead>(g: &G, cross: BipartiteCross) -> u64 {
         twice += butterfly_degree_of_with(g, cross, v, &mut scratch);
     }
     twice / 2
-}
-
-/// Exact global butterfly count with the vertex-priority wedge processing of
-/// Wang et al. [41]: each butterfly is counted exactly once from its
-/// highest-priority vertex, where priority orders by (cross degree, id).
-/// High degree vertices are visited first, which bounds repeated wedge work
-/// on skewed graphs.
-pub fn total_butterflies_priority<G: GraphRead>(g: &G, cross: BipartiteCross) -> u64 {
-    let n = g.vertex_count();
-    let deg = cross_degrees(g, cross);
-    let priority = |v: VertexId| (deg[v.index()], v.0);
-    let mut scratch = WedgeScratch::new(n);
-    let mut total = 0u64;
-    for u in g.vertices() {
-        if cross.opposite(g.label(u)).is_none() {
-            continue;
-        }
-        scratch.reset_for(n);
-        let pu = priority(u);
-        for v in cross.cross_neighbors(g, u) {
-            if priority(v) >= pu {
-                continue;
-            }
-            for w in cross.cross_neighbors(g, v) {
-                if w != u && priority(w) < pu {
-                    total += (scratch.bump(w) - 1) as u64;
-                }
-            }
-        }
-    }
-    total
 }
 
 /// Brute-force O(n⁴) butterfly degree for tiny graphs — the test oracle.
@@ -486,7 +386,6 @@ mod tests {
         }
         assert_eq!(counts.total(), 9);
         assert_eq!(total_butterflies(&view, cross_of(&g)), 9);
-        assert_eq!(total_butterflies_priority(&view, cross_of(&g)), 9);
     }
 
     #[test]
@@ -568,14 +467,8 @@ mod tests {
             let fast = butterfly_degrees(&view, cross);
             assert_eq!(fast, expected, "trial {trial}");
             assert_eq!(butterfly_degrees_hash(&view, cross), expected, "trial {trial} (hash)");
-            assert_eq!(
-                butterfly_degrees_priority(&view, cross),
-                expected,
-                "trial {trial} (priority)"
-            );
             let total: u64 = expected.iter().sum::<u64>() / 4;
             assert_eq!(total_butterflies(&view, cross), total, "trial {trial}");
-            assert_eq!(total_butterflies_priority(&view, cross), total, "trial {trial}");
             for &v in left.iter().chain(&right) {
                 assert_eq!(
                     butterfly_degree_of(&view, cross, v),

@@ -6,9 +6,8 @@
 //! This crate implements:
 //!
 //! * [`counting`] — the per-vertex butterfly-degree algorithm of the paper's
-//!   Algorithm 3 on a dense epoch-stamped wedge scratch (plus a BFC-VP-style
-//!   vertex-priority per-vertex variant and global counters in the style of
-//!   Wang et al. [41]; the seed's hash-map kernel is retained as the
+//!   Algorithm 3 on a dense epoch-stamped wedge scratch, plus an exact
+//!   global count (the seed's hash-map kernel is retained as the
 //!   differential reference);
 //! * [`update`] — Algorithm 7, the O(d²) butterfly-degree *update* for a
 //!   leader vertex when a single vertex (or, for the incremental index, a
@@ -46,8 +45,7 @@ pub mod update;
 pub use bipartite::BipartiteCross;
 pub use counting::{
     brute_force_butterfly_degrees, butterfly_degree_of, butterfly_degree_of_with,
-    butterfly_degrees, butterfly_degrees_hash, butterfly_degrees_priority, total_butterflies,
-    total_butterflies_priority, ButterflyCounts,
+    butterfly_degrees, butterfly_degrees_hash, total_butterflies, ButterflyCounts,
 };
 pub use leader::{identify_leader, LeaderConfig};
 pub use update::{edge_decrement, edge_decrement_with, leader_decrement, leader_decrement_with};

@@ -1,8 +1,7 @@
 //! Differential equivalence of the butterfly wedge kernels.
 //!
-//! The flat scratch kernel ([`butterfly_degrees`]) and the vertex-priority
-//! kernel ([`butterfly_degrees_priority`]) must agree, per vertex, with two
-//! independent oracles on arbitrary inputs:
+//! The flat scratch kernel ([`butterfly_degrees`]) must agree, per vertex,
+//! with two independent oracles on arbitrary inputs:
 //!
 //! * the O(n⁴) brute-force enumerator, and
 //! * the retained seed hash kernel ([`butterfly_degrees_hash`]);
@@ -14,8 +13,7 @@
 
 use bcc_butterfly::{
     brute_force_butterfly_degrees, butterfly_degree_of, butterfly_degree_of_with,
-    butterfly_degrees, butterfly_degrees_hash, butterfly_degrees_priority, total_butterflies,
-    total_butterflies_priority, BipartiteCross,
+    butterfly_degrees, butterfly_degrees_hash, total_butterflies, BipartiteCross,
 };
 use bcc_graph::{
     EdgeChange, EdgeOp, GraphBuilder, GraphView, Label, LabeledGraph, OverlayGraph, VertexId,
@@ -47,11 +45,8 @@ fn assert_kernels_agree<G: bcc_graph::GraphRead>(host: &G, cross: BipartiteCross
     let oracle = butterfly_degrees_hash(host, cross);
     let flat = butterfly_degrees(host, cross);
     assert_eq!(flat, oracle, "flat vs hash {context}");
-    let priority = butterfly_degrees_priority(host, cross);
-    assert_eq!(priority, oracle, "priority vs hash {context}");
     let total: u64 = oracle.iter().sum::<u64>() / 4;
     assert_eq!(total_butterflies(host, cross), total, "total {context}");
-    assert_eq!(total_butterflies_priority(host, cross), total, "priority total {context}");
     let mut scratch = WedgeScratch::new(host.vertex_count());
     for v in host.vertices() {
         assert_eq!(
@@ -131,11 +126,6 @@ fn kernels_agree_on_overlay_mid_batch_states() {
                 "flat on overlay (trial {trial}, step {step})"
             );
             assert_eq!(
-                butterfly_degrees_priority(&overlay, cross),
-                expected,
-                "priority on overlay (trial {trial}, step {step})"
-            );
-            assert_eq!(
                 total_butterflies(&overlay, cross),
                 expected.iter().sum::<u64>() / 4,
                 "total on overlay (trial {trial}, step {step})"
@@ -148,10 +138,10 @@ fn kernels_agree_on_overlay_mid_batch_states() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Flat and priority kernels equal the brute-force oracle and the seed
-    /// hash kernel on arbitrary 3-labeled edge soups.
+    /// The flat kernel equals the brute-force oracle and the seed hash
+    /// kernel on arbitrary 3-labeled edge soups.
     #[test]
-    fn flat_and_priority_match_oracles(
+    fn flat_kernel_matches_oracles(
         n in 4usize..14,
         labels in 2usize..4,
         edges in proptest::collection::vec((0u8..14, 0u8..14), 0..60),
@@ -170,11 +160,9 @@ proptest! {
         let cross = BipartiteCross::new(Label(0), Label(1));
         let brute = brute_force_butterfly_degrees(&view, cross);
         prop_assert_eq!(&butterfly_degrees(&g, cross), &brute);
-        prop_assert_eq!(&butterfly_degrees_priority(&g, cross), &brute);
         prop_assert_eq!(&butterfly_degrees_hash(&g, cross), &brute);
         let total = brute.iter().sum::<u64>() / 4;
         prop_assert_eq!(total_butterflies(&g, cross), total);
-        prop_assert_eq!(total_butterflies_priority(&g, cross), total);
         for v in g.vertices() {
             prop_assert_eq!(butterfly_degree_of(&g, cross, v), brute[v.index()]);
         }

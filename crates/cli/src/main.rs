@@ -98,11 +98,12 @@ printed to stderr.
 
 Fault tolerance (serve/batch/listen): --fault <site>:<action>[:<from>[:<count>]]
 (repeatable) arms deterministic fault injection — action is panic, error, or
-delay<N>ms; site is a query/commit phase (query_distance, core_decomp,
-butterfly_counting, leader_pairing, overlay_apply, cascade, chi_delta,
-cache_invalidate, query_dist_expand, query_dist_merge) or a transport site
-(codec_decode, admission, worker_execute, scatter_pair). The Nth..N+count-1th
-matches at the site fire; everything else is untouched. Worker panics are
+delay<N>ms; site is one of codec_decode (serve/listen: a session decoded a
+request), admission (listen: a query is about to ask the admission gate for
+a permit), worker_execute (a worker is about to run a search), scatter_pair
+(a scatter pair sub-query runs) or commit (a commit is about to apply the
+staged batch). The Nth..N+count-1th matches at the site fire; everything
+else is untouched. Worker panics are
 contained (a structured `internal` error; the worker is respawned so pool
 capacity never decays). A scatter pair sub-query that fails internally is
 retried up to twice inside the request's deadline.";

@@ -12,7 +12,6 @@
 //!   without the 2-approximation guarantee.
 
 use bcc_graph::{GraphView, LabeledGraph};
-use bcc_obs::Recorder;
 
 use crate::candidate::Candidate;
 use crate::engine::{run_peel, EngineConfig};
@@ -88,22 +87,6 @@ impl OnlineBcc {
         let outcome = run_peel(candidate, counts, config, &mut stats)?;
         Ok(finish(outcome, stats, started))
     }
-
-    /// [`OnlineBcc::search`] with the per-phase timings replayed into
-    /// `recorder` (out-of-band: the returned result is identical).
-    pub fn search_traced(
-        &self,
-        graph: &LabeledGraph,
-        query: &BccQuery,
-        params: &BccParams,
-        recorder: &impl Recorder,
-    ) -> Result<BccResult, SearchError> {
-        let result = self.search(graph, query, params);
-        if let Ok(r) = &result {
-            r.stats.record_phases(recorder);
-        }
-        result
-    }
 }
 
 /// LP-BCC: Online-BCC accelerated with Algorithm 5 (fast query distances)
@@ -153,22 +136,6 @@ impl LpBcc {
         config.leader_rho = self.rho;
         let outcome = run_peel(candidate, counts, config, &mut stats)?;
         Ok(finish(outcome, stats, started))
-    }
-
-    /// [`LpBcc::search`] with the per-phase timings replayed into
-    /// `recorder` (out-of-band: the returned result is identical).
-    pub fn search_traced(
-        &self,
-        graph: &LabeledGraph,
-        query: &BccQuery,
-        params: &BccParams,
-        recorder: &impl Recorder,
-    ) -> Result<BccResult, SearchError> {
-        let result = self.search(graph, query, params);
-        if let Ok(r) = &result {
-            r.stats.record_phases(recorder);
-        }
-        result
     }
 }
 
@@ -266,23 +233,6 @@ impl L2pBcc {
         config.leader_rho = self.rho;
         let outcome = run_peel(candidate, counts, config, &mut stats)?;
         Ok(finish(outcome, stats, started))
-    }
-
-    /// [`L2pBcc::search`] with the per-phase timings replayed into
-    /// `recorder` (out-of-band: the returned result is identical).
-    pub fn search_traced(
-        &self,
-        graph: &LabeledGraph,
-        index: &BccIndex,
-        query: &BccQuery,
-        params: &BccParams,
-        recorder: &impl Recorder,
-    ) -> Result<BccResult, SearchError> {
-        let result = self.search(graph, index, query, params);
-        if let Ok(r) = &result {
-            r.stats.record_phases(recorder);
-        }
-        result
     }
 }
 
@@ -430,35 +380,6 @@ mod tests {
             lp.stats.butterfly_countings <= online.stats.butterfly_countings,
             "LP must not count butterflies more often than Online"
         );
-    }
-
-    #[test]
-    fn traced_search_is_identical_and_populates_the_trace() {
-        let (g, q) = figure1_like();
-        let params = BccParams::new(4, 3, 1);
-        let trace = bcc_obs::QueryTrace::new();
-        let plain = LpBcc::default().search(&g, &q, &params).unwrap();
-        let traced = LpBcc::default().search_traced(&g, &q, &params, &trace).unwrap();
-        assert_eq!(plain.community, traced.community);
-        assert_eq!(plain.query_distance, traced.query_distance);
-        assert_eq!(plain.leaders, traced.leaders);
-        // The trace holds exactly what the stats recorded (µs truncation).
-        use bcc_obs::Phase;
-        for (phase, time) in [
-            (Phase::QueryDistance, traced.stats.time_query_distance),
-            (Phase::CoreDecomp, traced.stats.time_core_decomp),
-            (Phase::ButterflyCounting, traced.stats.time_butterfly_counting),
-            (Phase::LeaderPairing, traced.stats.time_leader_update),
-        ] {
-            assert_eq!(trace.get(phase).as_micros(), time.as_micros());
-        }
-        // Core decomposition ran (the candidate is peeled to label cores).
-        assert!(traced.stats.time_core_decomp > std::time::Duration::ZERO);
-        // The no-op recorder path returns the same community too.
-        let noop = OnlineBcc::default()
-            .search_traced(&g, &q, &params, &bcc_obs::NoopRecorder)
-            .unwrap();
-        assert_eq!(noop.community, OnlineBcc::default().search(&g, &q, &params).unwrap().community);
     }
 
     #[test]

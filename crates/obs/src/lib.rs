@@ -12,16 +12,15 @@
 //!   whose error is bounded by the bucket width;
 //! * [`Phase`] — the paper's query phases plus the mutation commit stages;
 //! * [`Recorder`] — the trait search/commit code records phase spans
-//!   through. [`NoopRecorder`] is the zero-cost default; [`QueryTrace`]
-//!   accumulates per-phase totals for one query or one workload;
-//! * [`PhaseTimer`] — an RAII span that records into a [`Recorder`] on drop.
+//!   through. [`QueryTrace`] accumulates per-phase totals for one query or
+//!   one workload.
 //!
 //! Everything is `&self` + atomics: one registry instance can be shared
 //! across every worker thread with no locks on the record path. The crate
 //! deliberately has **no dependencies** (it sits under `bcc-core`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of log₂ buckets in a [`Histogram`].
 pub const HISTOGRAM_BUCKETS: usize = 64;
@@ -307,13 +306,6 @@ impl Phase {
             Phase::QueryDistMerge => "query_dist_merge",
         }
     }
-
-    /// The inverse of [`Phase::name`] — resolves the snake_case names used
-    /// in JSON snapshots, Prometheus labels, and fault-injection site specs
-    /// back to the phase. `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.iter().copied().find(|p| p.name() == name)
-    }
 }
 
 /// The hook instrumented code records phase spans through. Takes `&self`
@@ -329,16 +321,6 @@ impl<R: Recorder + ?Sized> Recorder for &R {
     fn record_phase(&self, phase: Phase, elapsed: Duration) {
         (**self).record_phase(phase, elapsed);
     }
-}
-
-/// The zero-cost default: recording is an inlined empty body, so code
-/// instrumented against a `NoopRecorder` measures nothing and pays nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline(always)]
-    fn record_phase(&self, _phase: Phase, _elapsed: Duration) {}
 }
 
 /// Per-phase accumulated totals (microseconds) for one query — or, merged,
@@ -375,29 +357,6 @@ impl Recorder for QueryTrace {
     #[inline]
     fn record_phase(&self, phase: Phase, elapsed: Duration) {
         self.phases[phase.index()].fetch_add(duration_to_micros(elapsed), Ordering::Relaxed);
-    }
-}
-
-/// RAII phase span: starts timing on construction, records into the
-/// recorder on drop. `PhaseTimer::new(&rec, Phase::CoreDecomp)` brackets
-/// whatever runs before the timer goes out of scope.
-pub struct PhaseTimer<'r, R: Recorder + ?Sized> {
-    recorder: &'r R,
-    phase: Phase,
-    started: Instant,
-}
-
-impl<'r, R: Recorder + ?Sized> PhaseTimer<'r, R> {
-    #[inline]
-    pub fn new(recorder: &'r R, phase: Phase) -> PhaseTimer<'r, R> {
-        PhaseTimer { recorder, phase, started: Instant::now() }
-    }
-}
-
-impl<R: Recorder + ?Sized> Drop for PhaseTimer<'_, R> {
-    #[inline]
-    fn drop(&mut self) {
-        self.recorder.record_phase(self.phase, self.started.elapsed());
     }
 }
 
@@ -504,31 +463,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_phase_timer() {
+    fn query_trace_accumulates_per_phase() {
         let trace = QueryTrace::new();
         trace.record_phase(Phase::Cascade, Duration::from_micros(7));
         trace.record_phase(Phase::Cascade, Duration::from_micros(5));
         assert_eq!(trace.get(Phase::Cascade), Duration::from_micros(12));
-        {
-            let _t = PhaseTimer::new(&trace, Phase::CoreDecomp);
-            std::hint::black_box(());
-        }
-        // The timer recorded *something* (possibly 0 µs on a fast machine);
-        // the counter path is what we pin: a second bracketed span only
-        // grows the total.
-        let first = trace.get(Phase::CoreDecomp);
         trace.record_phase(Phase::CoreDecomp, Duration::from_micros(3));
-        assert_eq!(trace.get(Phase::CoreDecomp), first + Duration::from_micros(3));
-        assert_eq!(trace.total(), Duration::from_micros(12) + first + Duration::from_micros(3));
-    }
-
-    #[test]
-    fn noop_recorder_accepts_everything() {
-        let noop = NoopRecorder;
-        for phase in Phase::ALL {
-            noop.record_phase(phase, Duration::from_secs(1));
-            let _t = PhaseTimer::new(&noop, phase);
-        }
+        assert_eq!(trace.get(Phase::CoreDecomp), Duration::from_micros(3));
+        assert_eq!(trace.total(), Duration::from_micros(15));
     }
 
     #[test]
@@ -542,14 +484,5 @@ mod tests {
         for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
         }
-    }
-
-    #[test]
-    fn phase_from_name_round_trips() {
-        for phase in Phase::ALL {
-            assert_eq!(Phase::from_name(phase.name()), Some(phase));
-        }
-        assert_eq!(Phase::from_name("no_such_phase"), None);
-        assert_eq!(Phase::from_name(""), None);
     }
 }

@@ -1,9 +1,9 @@
 //! Deterministic fault injection + the containment primitives built on it.
 //!
-//! A [`FaultPlan`] arms named *sites* across the serving stack — the
-//! `bcc-obs` [`Phase`] taxonomy (query phases, commit stages) plus four
-//! transport sites (codec decode, admission, worker execute, scatter pair
-//! dispatch) — with actions selected deterministically by **match count**:
+//! A [`FaultPlan`] arms named *sites* across the serving stack — one per
+//! code location that can fail: codec decode, admission, worker execute,
+//! scatter pair dispatch, and commit entry (see [`FaultSite`]) — with
+//! actions selected deterministically by **match count**:
 //! every time execution passes an armed site the site's counter advances,
 //! and a rule `worker_execute:panic:2:3` fires on matches 2, 3 and 4 (1-
 //! based, in arrival order at that site). No randomness, no clocks: the
@@ -27,8 +27,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-use bcc_obs::Phase;
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 ///
@@ -55,14 +53,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A named injection point. The query/commit sites reuse the `bcc-obs`
-/// [`Phase`] taxonomy (one site per phase, matched where the service
-/// brackets that phase); the transport sites cover the paths a request
-/// crosses before and around execution.
+/// A named injection point: one per code location that can fail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSite {
-    /// An engine or commit phase (checked where the service enters it).
-    Phase(Phase),
     /// A session decoded one request payload (before dispatch).
     CodecDecode,
     /// A query is about to ask the admission gate for a permit.
@@ -71,53 +64,35 @@ pub enum FaultSite {
     WorkerExecute,
     /// A scatter pair sub-query is executing on the worker pool.
     ScatterPair,
+    /// A `commit` is about to apply the staged batch (an injected error
+    /// leaves the batch staged).
+    Commit,
 }
 
 impl FaultSite {
-    /// Distinct sites: the phase taxonomy plus the four transport sites.
-    pub const COUNT: usize = Phase::COUNT + 4;
-
-    /// Dense index (phases first, in [`Phase::ALL`] order).
-    pub fn index(self) -> usize {
-        match self {
-            FaultSite::Phase(p) => p.index(),
-            FaultSite::CodecDecode => Phase::COUNT,
-            FaultSite::Admission => Phase::COUNT + 1,
-            FaultSite::WorkerExecute => Phase::COUNT + 2,
-            FaultSite::ScatterPair => Phase::COUNT + 3,
-        }
-    }
+    /// Every site, in declaration order (the plan indexes by `site as usize`).
+    pub const ALL: [FaultSite; 5] = [
+        FaultSite::CodecDecode,
+        FaultSite::Admission,
+        FaultSite::WorkerExecute,
+        FaultSite::ScatterPair,
+        FaultSite::Commit,
+    ];
 
     /// Stable snake_case name (the spec grammar's `<site>` token).
     pub fn name(self) -> &'static str {
         match self {
-            FaultSite::Phase(p) => p.name(),
             FaultSite::CodecDecode => "codec_decode",
             FaultSite::Admission => "admission",
             FaultSite::WorkerExecute => "worker_execute",
             FaultSite::ScatterPair => "scatter_pair",
+            FaultSite::Commit => "commit",
         }
     }
 
-    /// Parses a `<site>` token: a transport site name or any phase name.
+    /// Parses a `<site>` token.
     pub fn from_name(name: &str) -> Option<FaultSite> {
-        match name {
-            "codec_decode" => Some(FaultSite::CodecDecode),
-            "admission" => Some(FaultSite::Admission),
-            "worker_execute" => Some(FaultSite::WorkerExecute),
-            "scatter_pair" => Some(FaultSite::ScatterPair),
-            other => Phase::from_name(other).map(FaultSite::Phase),
-        }
-    }
-
-    /// Every site, index order (tests iterate this to arm all of them).
-    pub fn all() -> impl Iterator<Item = FaultSite> {
-        Phase::ALL.iter().copied().map(FaultSite::Phase).chain([
-            FaultSite::CodecDecode,
-            FaultSite::Admission,
-            FaultSite::WorkerExecute,
-            FaultSite::ScatterPair,
-        ])
+        FaultSite::ALL.into_iter().find(|site| site.name() == name)
     }
 }
 
@@ -158,17 +133,17 @@ impl FaultRule {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
-    /// Which sites have at least one rule (dense, by site index).
-    armed: [bool; FaultSite::COUNT],
+    /// Which sites have at least one rule (by `site as usize`).
+    armed: [bool; FaultSite::ALL.len()],
     /// Matches observed per armed site (the rule selector).
-    matches: [AtomicU64; FaultSite::COUNT],
+    matches: [AtomicU64; FaultSite::ALL.len()],
     /// Total faults injected (all sites, all actions).
     injected: AtomicU64,
 }
 
 impl FaultPlan {
     /// Compiles `specs` (`<site>:<action>[:<from>[:<count>]]`, e.g.
-    /// `worker_execute:panic:2:3` or `core_decomp:delay5ms`). `from`
+    /// `worker_execute:panic:2:3` or `commit:delay5ms`). `from`
     /// defaults to 1 (the first match), `count` to 0 (every match onward).
     pub fn parse<S: AsRef<str>>(specs: &[S]) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
@@ -201,7 +176,7 @@ impl FaultPlan {
             if parts.next().is_some() {
                 return Err(format!("fault spec `{spec}`: too many `:` fields"));
             }
-            plan.armed[site.index()] = true;
+            plan.armed[site as usize] = true;
             plan.rules.push(FaultRule { site, action, from, count });
         }
         Ok(plan)
@@ -221,10 +196,10 @@ impl FaultPlan {
     /// action the first matching rule selects, if any. Deterministic for a
     /// deterministic arrival order at the site.
     pub fn check(&self, site: FaultSite) -> Option<FaultAction> {
-        if self.rules.is_empty() || !self.armed[site.index()] {
+        if self.rules.is_empty() || !self.armed[site as usize] {
             return None;
         }
-        let matched = self.matches[site.index()].fetch_add(1, Ordering::Relaxed) + 1;
+        let matched = self.matches[site as usize].fetch_add(1, Ordering::Relaxed) + 1;
         let action = self
             .rules
             .iter()
@@ -271,13 +246,10 @@ mod tests {
 
     #[test]
     fn site_names_round_trip_and_index_densely() {
-        let mut seen = [false; FaultSite::COUNT];
-        for site in FaultSite::all() {
+        for (i, site) in FaultSite::ALL.into_iter().enumerate() {
             assert_eq!(FaultSite::from_name(site.name()), Some(site));
-            assert!(!seen[site.index()], "index collision at {}", site.name());
-            seen[site.index()] = true;
+            assert_eq!(site as usize, i, "{} indexes out of order", site.name());
         }
-        assert!(seen.iter().all(|&s| s));
         assert_eq!(FaultSite::from_name("nope"), None);
     }
 
@@ -285,11 +257,18 @@ mod tests {
     fn spec_grammar_parses_and_rejects() {
         let plan = FaultPlan::parse(&[
             "worker_execute:panic:2:3",
-            "core_decomp:delay5ms",
+            "commit:delay5ms",
             "admission:error:4",
         ])
         .unwrap();
         assert!(!plan.is_empty());
+        // Engine phases and commit stages are not sites: the engine never
+        // checks the plan, and a commit fails at one place, its entry.
+        for phase in bcc_obs::Phase::ALL {
+            let spec = format!("{}:error", phase.name());
+            let err = FaultPlan::parse(&[&spec]).err().unwrap_or_default();
+            assert!(err.contains("unknown site"), "`{spec}` must not parse: {err}");
+        }
         for bad in [
             "nope:panic",
             "worker_execute",
@@ -339,7 +318,7 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let plan = FaultPlan::default();
-        for site in FaultSite::all() {
+        for site in FaultSite::ALL {
             assert_eq!(plan.check(site), None);
             assert!(!plan.perturb(site));
         }

@@ -80,9 +80,7 @@ pub use response::{
     CommitSummary, MutateOutcome, MutateResponse, PairOutcome, QueryOutcome, QueryResponse,
 };
 pub use server::{Admission, AdmissionPermit, AdmitError, Server, ServerConfig, ServerHandle};
-pub use service::{
-    BccService, LineOutcome, Pending, ServiceConfig, ServiceStats, TransportCounters,
-};
+pub use service::{BccService, LineOutcome, Pending, ServiceConfig, ServiceStats};
 pub use session::{session_error_json, SeqPolicy, Session, SessionConfig, SessionEnd};
 
 /// Compile-time audit that every type the worker pool shares across threads
@@ -108,7 +106,6 @@ mod send_sync_audit {
         assert_send_sync::<crate::WorkerPool>();
         assert_send_sync::<crate::BccService>();
         assert_send_sync::<crate::QueryResponse>();
-        assert_send_sync::<crate::TransportCounters>();
         assert_send_sync::<crate::Admission>();
         assert_send_sync::<crate::Metrics>();
         assert_send_sync::<bcc_obs::Histogram>();

@@ -1,28 +1,33 @@
-//! The service-side metrics registry: per-verb request counters and latency
-//! histograms, per-phase histograms fed by [`bcc_core::SearchStats`] replays
-//! and commit-stage timers, queue-wait distribution, and a slow-query log.
+//! The service's one counter store: per-verb request counters and latency
+//! histograms, the service and transport counters behind the `stats` verb,
+//! per-phase histograms fed by [`bcc_core::SearchStats`] replays and
+//! commit-stage timers, queue-wait distribution, and a slow-query log.
 //!
 //! Telemetry is strictly **out-of-band**: nothing here ever changes a
 //! protocol response byte. The registry implements [`Recorder`], so the
 //! same `record_phases` call that feeds a figure binary's
-//! [`bcc_obs::QueryTrace`] feeds the live histograms here. All hot-path
-//! recording is lock-free (atomics only); the only formatting work happens
-//! in the cold `snapshot_json` / `prometheus` renderers and in the (rare,
-//! gated) slow-query log line.
+//! [`bcc_obs::QueryTrace`] feeds the live histograms here. All recording
+//! is lock-free (atomics only); the only formatting work happens in the
+//! cold `snapshot_json` / `prometheus` renderers and in the (rare, gated)
+//! slow-query log line.
 //!
 //! Two tiers of cost:
 //!
-//! * per-verb **request counters** are always on — they are single relaxed
-//!   `fetch_add`s, the same price the service already pays for
-//!   `TransportCounters`, and they back the `stats` verb's new fields;
+//! * **counters** are always on — single relaxed `fetch_add`s, written by
+//!   the service, the worker jobs, the admission gate, the accept loop and
+//!   every session, and read one by one into [`crate::ServiceStats`];
 //! * **histograms, phase recording, queue-wait, and the slow-query log**
 //!   are gated on [`ServiceConfig::metrics`](crate::ServiceConfig) — the
 //!   `metrics off` configuration is the baseline the ≤5 % overhead gate in
 //!   `load_bench` compares against.
+//!
+//! Three counts live with their single writers instead: the worker pool's
+//! executed/panic/respawn counters, [`crate::FaultPlan::injected`], and the
+//! result cache's [`crate::CacheCounters`].
 
 use std::time::Duration;
 
-use bcc_obs::{duration_to_micros, Counter, Histogram, HistogramSnapshot, Phase, Recorder};
+use bcc_obs::{duration_to_micros, Counter, Gauge, Histogram, HistogramSnapshot, Phase, Recorder};
 
 /// Protocol verbs, as counted/timed by the registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -83,7 +88,11 @@ impl Verb {
 
 /// The registry. One instance per [`crate::BccService`], shared (behind
 /// `Arc`) with every worker and session thread.
-#[derive(Debug)]
+///
+/// The crate-visible counters carry the [`crate::ServiceStats`] field of the
+/// same name, except `search_time_ns`, which `stats` renders as
+/// `total_search_time_us`.
+#[derive(Debug, Default)]
 pub struct Metrics {
     enabled: bool,
     slow_query_micros: u64,
@@ -92,27 +101,37 @@ pub struct Metrics {
     phases: [Histogram; Phase::COUNT],
     queue_wait: Histogram,
     slow_queries: Counter,
+    pub(crate) searches_executed: Counter,
+    pub(crate) search_time_ns: Counter,
+    pub(crate) search_errors: Counter,
+    pub(crate) timeouts: Counter,
+    pub(crate) parse_errors: Counter,
+    pub(crate) resolve_errors: Counter,
+    pub(crate) mutations_staged: Counter,
+    pub(crate) commits: Counter,
+    pub(crate) mutate_errors: Counter,
+    pub(crate) cache_invalidated: Counter,
+    pub(crate) cache_retained: Counter,
+    pub(crate) pair_retries: Counter,
+    pub(crate) connections_accepted: Counter,
+    pub(crate) connections_rejected: Counter,
+    pub(crate) active_sessions: Gauge,
+    pub(crate) admitted: Counter,
+    pub(crate) rejected_overloaded: Counter,
+    pub(crate) admission_timeouts: Counter,
+    pub(crate) bytes_in: Counter,
+    pub(crate) bytes_out: Counter,
 }
 
 impl Metrics {
     /// `enabled = false` turns every histogram/log path into a branch on a
-    /// bool; the per-verb request counters stay live either way.
+    /// bool; the counters stay live either way.
     pub fn new(enabled: bool, slow_query_ms: u64) -> Metrics {
         Metrics {
             enabled,
             slow_query_micros: slow_query_ms.saturating_mul(1000),
-            requests: std::array::from_fn(|_| Counter::new()),
-            latency: std::array::from_fn(|_| Histogram::new()),
-            phases: std::array::from_fn(|_| Histogram::new()),
-            queue_wait: Histogram::new(),
-            slow_queries: Counter::new(),
+            ..Metrics::default()
         }
-    }
-
-    /// Whether the gated (histogram/log) tier is live.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Counts one request for `verb`. Always on.
@@ -168,24 +187,7 @@ impl Metrics {
             return;
         }
         self.slow_queries.inc();
-        let mut line = String::with_capacity(160);
-        line.push_str(&format!(
-            "{{\"slow_query\":true,\"verb\":\"{}\",\"graph\":\"{}\",\"elapsed_us\":{micros}",
-            verb.name(),
-            graph.escape_default(),
-        ));
-        if let Some(s) = stats {
-            line.push_str(&format!(
-                ",\"query_distance_us\":{},\"core_decomp_us\":{},\
-                 \"butterfly_counting_us\":{},\"leader_pairing_us\":{}",
-                duration_to_micros(s.time_query_distance),
-                duration_to_micros(s.time_core_decomp),
-                duration_to_micros(s.time_butterfly_counting),
-                duration_to_micros(s.time_leader_update),
-            ));
-        }
-        line.push('}');
-        eprintln!("{line}");
+        eprintln!("{}", slow_query_line(verb, graph, micros, stats));
     }
 
     /// Point-in-time copy of one phase histogram.
@@ -204,8 +206,9 @@ impl Metrics {
     }
 
     /// The full registry as one deterministic JSON line (fixed key order,
-    /// integers only) — the `metrics` protocol verb's response.
-    pub fn snapshot_json(&self) -> String {
+    /// integers only) — the `metrics` protocol verb's response, closed by
+    /// the `faults` object (`faults_injected` comes from the fault plan).
+    pub fn snapshot_json(&self, faults_injected: u64) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str(&format!(
             "{{\"ok\":true,\"metrics_enabled\":{},\"slow_queries\":{}",
@@ -234,8 +237,10 @@ impl Metrics {
             out.push_str(&format!("\"{}\":{{{}}}", phase.name(), histogram_json_fields(&snap)));
         }
         out.push_str(&format!(
-            "}},\"queue_wait\":{{{}}}}}",
-            histogram_json_fields(&self.queue_wait.snapshot())
+            "}},\"queue_wait\":{{{}}},\"faults\":{{\"injected\":{faults_injected},\
+             \"pair_retries\":{}}}}}",
+            histogram_json_fields(&self.queue_wait.snapshot()),
+            self.pair_retries.get()
         ));
         out
     }
@@ -303,6 +308,34 @@ impl Recorder for Metrics {
             self.phases[phase.index()].record_duration(elapsed);
         }
     }
+}
+
+/// The slow-query log line: one JSON object, the graph name escaped like
+/// every other string the service emits.
+fn slow_query_line(
+    verb: Verb,
+    graph: &str,
+    micros: u64,
+    stats: Option<&bcc_core::SearchStats>,
+) -> String {
+    let mut line = String::with_capacity(160);
+    line.push_str("{\"slow_query\":true,\"verb\":\"");
+    line.push_str(verb.name());
+    line.push_str("\",\"graph\":");
+    bcc_graph::json::push_json_string(&mut line, graph);
+    line.push_str(&format!(",\"elapsed_us\":{micros}"));
+    if let Some(s) = stats {
+        line.push_str(&format!(
+            ",\"query_distance_us\":{},\"core_decomp_us\":{},\
+             \"butterfly_counting_us\":{},\"leader_pairing_us\":{}",
+            duration_to_micros(s.time_query_distance),
+            duration_to_micros(s.time_core_decomp),
+            duration_to_micros(s.time_butterfly_counting),
+            duration_to_micros(s.time_leader_update),
+        ));
+    }
+    line.push('}');
+    line
 }
 
 /// Shared histogram fields for `snapshot_json` (no surrounding braces).
@@ -392,19 +425,49 @@ mod tests {
     }
 
     #[test]
+    fn slow_query_line_escapes_graph_names_as_json() {
+        for (graph, rendered) in [
+            ("o'brien-é", "\"o'brien-é\""),
+            ("a\"b", "\"a\\\"b\""),
+            ("tab\there", "\"tab\\there\""),
+        ] {
+            assert_eq!(
+                slow_query_line(Verb::Search, graph, 1234, None),
+                format!(
+                    "{{\"slow_query\":true,\"verb\":\"search\",\"graph\":{rendered},\
+                     \"elapsed_us\":1234}}"
+                )
+            );
+        }
+        let stats = bcc_core::SearchStats {
+            time_query_distance: Duration::from_micros(1),
+            time_core_decomp: Duration::from_micros(2),
+            time_butterfly_counting: Duration::from_micros(3),
+            time_leader_update: Duration::from_micros(4),
+            ..Default::default()
+        };
+        assert_eq!(
+            slow_query_line(Verb::Msearch, "g", 10, Some(&stats)),
+            "{\"slow_query\":true,\"verb\":\"msearch\",\"graph\":\"g\",\"elapsed_us\":10,\
+             \"query_distance_us\":1,\"core_decomp_us\":2,\"butterfly_counting_us\":3,\
+             \"leader_pairing_us\":4}"
+        );
+    }
+
+    #[test]
     fn snapshot_json_shape_is_deterministic() {
         let m = Metrics::new(true, 250);
         m.count_request(Verb::Search);
         m.record_latency(Verb::Search, Duration::from_micros(100));
-        let json = m.snapshot_json();
+        let json = m.snapshot_json(0);
         assert!(json.starts_with("{\"ok\":true,\"metrics_enabled\":true,\"slow_queries\":0"));
         assert!(json.contains("\"verbs\":{\"search\":{\"requests\":1,\"count\":1,"));
         assert!(json.contains("\"phases\":{\"query_distance\":{"));
         assert!(json.contains("\"queue_wait\":{\"count\":0,"));
-        assert!(json.ends_with('}'));
+        assert!(json.ends_with("},\"faults\":{\"injected\":0,\"pair_retries\":0}}"), "{json}");
         assert!(!json.contains('\n'));
         // Rendering twice with no traffic in between is byte-identical.
-        assert_eq!(json, m.snapshot_json());
+        assert_eq!(json, m.snapshot_json(0));
         // Every verb and phase appears exactly once.
         for v in Verb::ALL {
             assert_eq!(json.matches(&format!("\"{}\":{{", v.name())).count(), 1, "{}", v.name());

@@ -32,9 +32,10 @@ use std::time::Instant;
 
 use crate::codec::{Codec, LineCodec};
 use crate::fault::{lock_unpoisoned, panic_message};
+use crate::metrics::Metrics;
 use crate::request::Priority;
 use crate::session::{session_error_json, Session, SessionConfig, SessionEnd};
-use crate::service::{BccService, TransportCounters};
+use crate::service::BccService;
 
 /// Tunables for a [`Server`].
 #[derive(Clone, Debug)]
@@ -98,7 +99,7 @@ struct AdmState {
 pub struct Admission {
     concurrency: usize,
     queue_depth: usize,
-    transport: Arc<TransportCounters>,
+    metrics: Arc<Metrics>,
     state: Mutex<AdmState>,
     available: Condvar,
 }
@@ -117,16 +118,12 @@ impl std::fmt::Debug for AdmissionPermit<'_> {
 
 impl Admission {
     /// A gate allowing `concurrency` concurrent executions and
-    /// `queue_depth` waiters, counting into `transport`.
-    pub fn new(
-        concurrency: usize,
-        queue_depth: usize,
-        transport: Arc<TransportCounters>,
-    ) -> Self {
+    /// `queue_depth` waiters, counting into `metrics`.
+    pub fn new(concurrency: usize, queue_depth: usize, metrics: Arc<Metrics>) -> Self {
         Admission {
             concurrency: concurrency.max(1),
             queue_depth,
-            transport,
+            metrics,
             state: Mutex::new(AdmState::default()),
             available: Condvar::new(),
         }
@@ -148,7 +145,7 @@ impl Admission {
             return Ok(self.dispatch(&mut state, session));
         }
         if state.waiting.len() >= self.queue_depth {
-            self.transport.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
+            self.metrics.rejected_overloaded.inc();
             return Err(AdmitError::Overloaded(format!(
                 "admission queue full ({} executing, {} waiting, queue depth {})",
                 state.in_flight,
@@ -186,9 +183,7 @@ impl Admission {
                             .position(|w| w.ticket == ticket)
                             .expect("own ticket is queued");
                         state.waiting.swap_remove(idx);
-                        self.transport
-                            .admission_timeouts
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.metrics.admission_timeouts.inc();
                         drop(state);
                         // The freed queue slot may unblock an arrival path
                         // decision; waiters re-evaluate harmlessly.
@@ -208,7 +203,7 @@ impl Admission {
     fn dispatch<'a>(&'a self, state: &mut AdmState, session: u64) -> AdmissionPermit<'a> {
         state.in_flight += 1;
         *state.served.entry(session).or_insert(0) += 1;
-        self.transport.admitted.fetch_add(1, Ordering::Relaxed);
+        self.metrics.admitted.inc();
         AdmissionPermit { admission: self }
     }
 
@@ -301,7 +296,7 @@ impl Server {
             config.concurrency
         };
         let admission =
-            Admission::new(concurrency, config.queue_depth, Arc::clone(service.transport()));
+            Admission::new(concurrency, config.queue_depth, Arc::clone(service.metrics()));
         let shared = Arc::new(Shared {
             service,
             config,
@@ -354,7 +349,7 @@ impl ServerHandle {
 
 /// The accept loop: enforce the connection limit, spawn session threads.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let transport = Arc::clone(shared.service.transport());
+    let metrics = Arc::clone(shared.service.metrics());
     loop {
         let (stream, _peer) = match listener.accept() {
             Ok(accepted) => accepted,
@@ -364,14 +359,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let active = transport.active_sessions.load(Ordering::Relaxed);
+        let active = metrics.active_sessions.get();
         if active >= shared.config.max_connections as u64 {
-            transport.connections_rejected.fetch_add(1, Ordering::Relaxed);
+            metrics.connections_rejected.inc();
             reject_connection(stream, active, shared.config.max_connections);
             continue;
         }
-        transport.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        transport.active_sessions.fetch_add(1, Ordering::Relaxed);
+        metrics.connections_accepted.inc();
+        metrics.active_sessions.add(1);
         let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
         if let Ok(registered) = stream.try_clone() {
             lock_unpoisoned(&shared.live).insert(id, registered);
@@ -385,7 +380,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Err(_) => {
                 // Spawn failure: undo the bookkeeping; the stream drops.
                 lock_unpoisoned(&shared.live).remove(&id);
-                transport.active_sessions.fetch_sub(1, Ordering::Relaxed);
+                metrics.active_sessions.sub(1);
             }
         }
     }
@@ -448,11 +443,7 @@ fn session_thread(shared: Arc<Shared>, id: u64, stream: TcpStream) {
         }
     };
     lock_unpoisoned(&shared.live).remove(&id);
-    shared
-        .service
-        .transport()
-        .active_sessions
-        .fetch_sub(1, Ordering::Relaxed);
+    shared.service.metrics().active_sessions.sub(1);
     let _ = stream.shutdown(Shutdown::Both);
     if matches!(end, Ok(SessionEnd::Shutdown)) {
         shared.begin_shutdown();
@@ -465,7 +456,7 @@ mod tests {
     use std::sync::mpsc;
 
     fn gate(concurrency: usize, depth: usize) -> Admission {
-        Admission::new(concurrency, depth, Arc::new(TransportCounters::default()))
+        Admission::new(concurrency, depth, Arc::new(Metrics::default()))
     }
 
     #[test]
@@ -496,8 +487,8 @@ mod tests {
             assert!(matches!(err, AdmitError::Overloaded(ref m) if m.contains("queue")));
             drop(first); // frees a slot → the queued request dispatches
         });
-        assert_eq!(adm.transport.rejected_overloaded.load(Ordering::Relaxed), 1);
-        assert_eq!(adm.transport.admitted.load(Ordering::Relaxed), 3);
+        assert_eq!(adm.metrics.rejected_overloaded.get(), 1);
+        assert_eq!(adm.metrics.admitted.get(), 3);
     }
 
     #[test]
@@ -508,7 +499,7 @@ mod tests {
         let err = adm.admit(1, Priority::Normal, Some(deadline)).unwrap_err();
         assert_eq!(err, AdmitError::DeadlineExpired);
         assert_eq!(adm.load(), (1, 0), "expired waiter left the queue");
-        assert_eq!(adm.transport.admission_timeouts.load(Ordering::Relaxed), 1);
+        assert_eq!(adm.metrics.admission_timeouts.get(), 1);
         drop(permit);
     }
 

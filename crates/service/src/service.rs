@@ -101,7 +101,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Monotonic service counters (one consistent snapshot).
+/// The service counters as [`BccService::stats`] reads them: one field at a
+/// time from the metrics registry, the cache, and the pool, so a snapshot
+/// taken under traffic need not be consistent across fields.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceStats {
     /// Query requests accepted (parsed and submitted).
@@ -233,48 +235,6 @@ impl ServiceStats {
     }
 }
 
-/// Transport-layer counters, shared by atomics: the TCP server, the
-/// admission controller, and every session increment them lock-free, and
-/// [`BccService::stats`] folds a snapshot into [`ServiceStats`]. A service
-/// with no server attached reports zeros.
-#[derive(Debug, Default)]
-pub struct TransportCounters {
-    /// Connections accepted into a session.
-    pub connections_accepted: AtomicU64,
-    /// Connections turned away at the connection limit.
-    pub connections_rejected: AtomicU64,
-    /// Open sessions (gauge: incremented on session start, decremented on
-    /// teardown).
-    pub active_sessions: AtomicU64,
-    /// Requests dispatched through the admission gate.
-    pub admitted: AtomicU64,
-    /// Requests rejected with the structured `overloaded` error.
-    pub rejected_overloaded: AtomicU64,
-    /// Requests whose deadline expired in the admission queue.
-    pub admission_timeouts: AtomicU64,
-    /// Bytes read off sessions (payload + framing).
-    pub bytes_in: AtomicU64,
-    /// Bytes written to sessions (payload + framing).
-    pub bytes_out: AtomicU64,
-}
-
-#[derive(Default)]
-struct Counters {
-    requests: u64,
-    searches_executed: u64,
-    timeouts: u64,
-    parse_errors: u64,
-    resolve_errors: u64,
-    search_errors: u64,
-    mutations_staged: u64,
-    commits: u64,
-    mutate_errors: u64,
-    cache_invalidated: u64,
-    cache_retained: u64,
-    pair_retries: u64,
-    total_search_time: Duration,
-}
-
 type SharedCache = Arc<Mutex<LruCache<CacheKey, Result<QueryOutcome, RequestError>>>>;
 
 /// A response that may still be executing on the pool. Obtained from
@@ -325,8 +285,6 @@ pub struct BccService {
     registry: GraphRegistry,
     pool: WorkerPool,
     cache: SharedCache,
-    counters: Arc<Mutex<Counters>>,
-    transport: Arc<TransportCounters>,
     metrics: Arc<Metrics>,
     faults: Arc<FaultPlan>,
     seq: AtomicU64,
@@ -356,8 +314,6 @@ impl BccService {
             registry,
             pool,
             cache,
-            counters: Arc::new(Mutex::new(Counters::default())),
-            transport: Arc::new(TransportCounters::default()),
             metrics,
             faults,
             seq: AtomicU64::new(0),
@@ -388,14 +344,9 @@ impl BccService {
         self.pool.workers()
     }
 
-    /// The transport-layer counters (shared with the TCP server and its
-    /// sessions; all zeros when no server is attached).
-    pub fn transport(&self) -> &Arc<TransportCounters> {
-        &self.transport
-    }
-
-    /// The metrics registry (shared with sessions and workers; the CLI's
-    /// Prometheus responder reads it through this accessor too).
+    /// The metrics registry: every service and transport counter (the TCP
+    /// server and its sessions count into it too) and the histograms. The
+    /// CLI's Prometheus responder reads it through this accessor.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
@@ -406,42 +357,41 @@ impl BccService {
         &self.faults
     }
 
-    /// A consistent stats snapshot.
+    /// A stats snapshot, read counter by counter.
     pub fn stats(&self) -> ServiceStats {
-        let counters = lock_unpoisoned(&self.counters);
+        let m = &*self.metrics;
         let cache = lock_unpoisoned(&self.cache);
-        let t = &self.transport;
         ServiceStats {
-            requests: counters.requests,
-            searches_executed: counters.searches_executed,
+            requests: m.requests(Verb::Search) + m.requests(Verb::Msearch),
+            searches_executed: m.searches_executed.get(),
             cache: cache.counters(),
             cache_entries: cache.len(),
-            timeouts: counters.timeouts,
-            parse_errors: counters.parse_errors,
-            resolve_errors: counters.resolve_errors,
-            search_errors: counters.search_errors,
-            mutations_staged: counters.mutations_staged,
-            commits: counters.commits,
-            mutate_errors: counters.mutate_errors,
-            cache_invalidated: counters.cache_invalidated,
-            cache_retained: counters.cache_retained,
+            timeouts: m.timeouts.get(),
+            parse_errors: m.parse_errors.get(),
+            resolve_errors: m.resolve_errors.get(),
+            search_errors: m.search_errors.get(),
+            mutations_staged: m.mutations_staged.get(),
+            commits: m.commits.get(),
+            mutate_errors: m.mutate_errors.get(),
+            cache_invalidated: m.cache_invalidated.get(),
+            cache_retained: m.cache_retained.get(),
             workers: self.pool.workers(),
             graphs: self.registry.names(),
-            total_search_time: counters.total_search_time,
-            connections_accepted: t.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: t.connections_rejected.load(Ordering::Relaxed),
-            active_sessions: t.active_sessions.load(Ordering::Relaxed),
-            admitted: t.admitted.load(Ordering::Relaxed),
-            rejected_overloaded: t.rejected_overloaded.load(Ordering::Relaxed),
-            admission_timeouts: t.admission_timeouts.load(Ordering::Relaxed),
-            bytes_in: t.bytes_in.load(Ordering::Relaxed),
-            bytes_out: t.bytes_out.load(Ordering::Relaxed),
-            slow_queries: self.metrics.slow_queries(),
-            requests_by_verb: std::array::from_fn(|i| self.metrics.requests(Verb::ALL[i])),
+            total_search_time: Duration::from_nanos(m.search_time_ns.get()),
+            connections_accepted: m.connections_accepted.get(),
+            connections_rejected: m.connections_rejected.get(),
+            active_sessions: m.active_sessions.get(),
+            admitted: m.admitted.get(),
+            rejected_overloaded: m.rejected_overloaded.get(),
+            admission_timeouts: m.admission_timeouts.get(),
+            bytes_in: m.bytes_in.get(),
+            bytes_out: m.bytes_out.get(),
+            slow_queries: m.slow_queries(),
+            requests_by_verb: Verb::ALL.map(|verb| m.requests(verb)),
             faults_injected: self.faults.injected(),
             worker_panics: self.pool.panics(),
             worker_respawns: self.pool.respawns(),
-            pair_retries: counters.pair_retries,
+            pair_retries: m.pair_retries.get(),
         }
     }
 
@@ -449,7 +399,6 @@ impl BccService {
     /// on a miss schedules execution on the pool.
     pub fn submit(&self, request: QueryRequest) -> Pending {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        lock_unpoisoned(&self.counters).requests += 1;
         let verb = match request.kind {
             QueryKind::Pair { .. } => Verb::Search,
             QueryKind::Multi { .. } => Verb::Msearch,
@@ -462,7 +411,7 @@ impl BccService {
             .clone()
             .unwrap_or_else(|| self.config.default_graph.clone());
         let Some(entry) = self.registry.get(&graph_name) else {
-            lock_unpoisoned(&self.counters).resolve_errors += 1;
+            self.metrics.resolve_errors.inc();
             self.metrics.record_latency(verb, started.elapsed());
             return Pending::Ready(QueryResponse::error(
                 seq,
@@ -475,7 +424,7 @@ impl BccService {
         let normalized = match normalize(&entry, &request) {
             Ok(normalized) => normalized,
             Err(err) => {
-                lock_unpoisoned(&self.counters).resolve_errors += 1;
+                self.metrics.resolve_errors.inc();
                 self.metrics.record_latency(verb, started.elapsed());
                 return Pending::Ready(QueryResponse::error(seq, &graph_name, request.method, err));
             }
@@ -537,7 +486,6 @@ impl BccService {
     fn exec_shared(&self) -> ExecShared {
         ExecShared {
             cache: Arc::clone(&self.cache),
-            counters: Arc::clone(&self.counters),
             metrics: Arc::clone(&self.metrics),
             faults: Arc::clone(&self.faults),
             query_threads: self.config.query_threads,
@@ -651,7 +599,7 @@ impl BccService {
                 // noticed first (the waiter's deadline or the worker's
                 // pre-execution drop).
                 if matches!(&outcome, Err(e) if e.kind == ErrorKind::Timeout) {
-                    lock_unpoisoned(&self.counters).timeouts += 1;
+                    self.metrics.timeouts.inc();
                 }
                 let elapsed = started.elapsed();
                 self.metrics.record_latency(verb, elapsed);
@@ -719,7 +667,7 @@ impl BccService {
                         }
                         std::thread::sleep(backoff);
                         attempt += 1;
-                        lock_unpoisoned(&self.counters).pair_retries += 1;
+                        self.metrics.pair_retries.inc();
                         outcome = collect(self.submit_pair(&entry, method, &job.key, deadline));
                     }
                     if scatter::cacheable(&outcome) {
@@ -755,7 +703,7 @@ impl BccService {
             }
         }
         if matches!(&outcome, Err(e) if e.kind == ErrorKind::Timeout) {
-            lock_unpoisoned(&self.counters).timeouts += 1;
+            self.metrics.timeouts.inc();
         }
         let elapsed = started.elapsed();
         self.metrics.record_latency(Verb::Msearch, elapsed);
@@ -792,7 +740,7 @@ impl BccService {
         })) {
             Ok(response) => response,
             Err(payload) => {
-                lock_unpoisoned(&self.counters).mutate_errors += 1;
+                self.metrics.mutate_errors.inc();
                 MutateResponse {
                     op,
                     graph: graph_name,
@@ -832,7 +780,7 @@ impl BccService {
                 };
                 match self.registry.stage_edge(&entry, u, v, insert) {
                     Ok(pending) => {
-                        lock_unpoisoned(&self.counters).mutations_staged += 1;
+                        self.metrics.mutations_staged.inc();
                         MutateResponse {
                             op,
                             graph: graph_name,
@@ -843,29 +791,18 @@ impl BccService {
                 }
             }
             MutateOp::Commit => {
-                // Injection points for the commit path, checked at commit
-                // entry — bracketing the overlay/cascade/χ/invalidate
-                // stages the commit is about to run. An injected error
+                // The commit fault site, at commit entry: an injected error
                 // leaves the staged batch intact (the commit never ran).
-                use bcc_obs::Phase;
-                for phase in [
-                    Phase::OverlayApply,
-                    Phase::Cascade,
-                    Phase::ChiDelta,
-                    Phase::CacheInvalidate,
-                ] {
-                    let site = FaultSite::Phase(phase);
-                    if self.faults.perturb(site) {
-                        lock_unpoisoned(&self.counters).mutate_errors += 1;
-                        return MutateResponse {
-                            op,
-                            graph: graph_name,
-                            outcome: Err(RequestError {
-                                kind: ErrorKind::Internal,
-                                message: format!("injected fault at {}", site.name()),
-                            }),
-                        };
-                    }
+                if self.faults.perturb(FaultSite::Commit) {
+                    self.metrics.mutate_errors.inc();
+                    return MutateResponse {
+                        op,
+                        graph: graph_name,
+                        outcome: Err(RequestError {
+                            kind: ErrorKind::Internal,
+                            message: "injected fault at commit".into(),
+                        }),
+                    };
                 }
                 match self.registry.commit(&graph_name) {
                     Ok(outcome) => {
@@ -884,11 +821,9 @@ impl BccService {
                             outcome.dirty.as_ref(),
                         );
                         m.record_phase(Phase::CacheInvalidate, rescope_started.elapsed());
-                        let mut counters = lock_unpoisoned(&self.counters);
-                        counters.commits += 1;
-                        counters.cache_invalidated += invalidated as u64;
-                        counters.cache_retained += retained as u64;
-                        drop(counters);
+                        m.commits.inc();
+                        m.cache_invalidated.add(invalidated as u64);
+                        m.cache_retained.add(retained as u64);
                         MutateResponse {
                             op,
                             graph: graph_name,
@@ -910,7 +845,7 @@ impl BccService {
 
     /// A counted, structured mutation failure.
     fn mutate_error(&self, op: &'static str, graph: String, message: String) -> MutateResponse {
-        lock_unpoisoned(&self.counters).mutate_errors += 1;
+        self.metrics.mutate_errors.inc();
         MutateResponse { op, graph, outcome: Err(RequestError::mutate(message)) }
     }
 
@@ -979,31 +914,23 @@ impl BccService {
         self.stats().to_json()
     }
 
-    /// The `metrics` verb's JSON line: the full registry snapshot with the
-    /// fault counters spliced in — deterministic key order, integers only.
+    /// The `metrics` verb's JSON line: the full registry snapshot —
+    /// deterministic key order, integers only.
     pub fn metrics_json(&self) -> String {
         self.metrics.count_request(Verb::Metrics);
-        let mut out = self.metrics.snapshot_json();
-        debug_assert!(out.ends_with('}'));
-        out.pop();
-        out.push_str(",\"faults\":{\"injected\":");
-        out.push_str(&self.faults.injected().to_string());
-        out.push_str(",\"pair_retries\":");
-        out.push_str(&lock_unpoisoned(&self.counters).pair_retries.to_string());
-        out.push_str("}}");
-        out
+        self.metrics.snapshot_json(self.faults.injected())
     }
 
     /// Prometheus exposition text: the metrics registry's families plus
     /// the worker pool's load gauges/counters.
     pub fn prometheus(&self) -> String {
-        let mut out = self.metrics.prometheus();
-        let t = &self.transport;
+        let m = &*self.metrics;
+        let mut out = m.prometheus();
         let families: [(&str, &str, u64); 6] = [
             ("bcc_pool_executed_total", "counter", self.pool.executed()),
             ("bcc_pool_queue_depth", "gauge", self.pool.queued() as u64),
-            ("bcc_pool_admitted_total", "counter", t.admitted.load(Ordering::Relaxed)),
-            ("bcc_pool_rejected_total", "counter", t.rejected_overloaded.load(Ordering::Relaxed)),
+            ("bcc_pool_admitted_total", "counter", m.admitted.get()),
+            ("bcc_pool_rejected_total", "counter", m.rejected_overloaded.get()),
             ("bcc_pool_worker_panics_total", "counter", self.pool.panics()),
             ("bcc_pool_worker_respawns_total", "counter", self.pool.respawns()),
         ];
@@ -1022,7 +949,7 @@ impl BccService {
             "# HELP bcc_pair_retries_total Scatter pair sub-queries retried after an \
              internal failure.\n# TYPE bcc_pair_retries_total counter\n\
              bcc_pair_retries_total {}\n",
-            lock_unpoisoned(&self.counters).pair_retries
+            m.pair_retries.get()
         ));
         out
     }
@@ -1045,7 +972,7 @@ impl BccService {
     /// layer calls this for TCP sessions too (the counter), substituting
     /// its own per-session seq.
     pub(crate) fn note_parse_error(&self) -> u64 {
-        lock_unpoisoned(&self.counters).parse_errors += 1;
+        self.metrics.parse_errors.inc();
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -1132,7 +1059,7 @@ impl BccService {
                     slots.push(Slot::Line(self.handle_mutate(request).to_json()));
                 }
                 Err(err) => {
-                    lock_unpoisoned(&self.counters).parse_errors += 1;
+                    self.metrics.parse_errors.inc();
                     slots.push(Slot::Failed(err));
                 }
             }
@@ -1235,11 +1162,10 @@ fn normalize(entry: &GraphEntry, request: &QueryRequest) -> Result<Normalized, R
 }
 
 /// The shared service handles one worker job records through: the result
-/// cache, the lock-guarded counters, and the lock-free metrics registry.
+/// cache and the lock-free metrics registry.
 #[derive(Clone)]
 struct ExecShared {
     cache: SharedCache,
-    counters: Arc<Mutex<Counters>>,
     metrics: Arc<Metrics>,
     faults: Arc<FaultPlan>,
     query_threads: usize,
@@ -1289,26 +1215,13 @@ fn execute(
             });
         }
     }
-    // Injection points for the query path: the execute entry itself plus
-    // the four search phases it is about to run, checked at phase entry.
-    // An injected error is transient (never cached) by early return here,
-    // before the insert below.
-    {
-        use bcc_obs::Phase;
-        for site in [
-            FaultSite::WorkerExecute,
-            FaultSite::Phase(Phase::QueryDistance),
-            FaultSite::Phase(Phase::CoreDecomp),
-            FaultSite::Phase(Phase::ButterflyCounting),
-            FaultSite::Phase(Phase::LeaderPairing),
-        ] {
-            if shared.faults.perturb(site) {
-                return Err(RequestError {
-                    kind: ErrorKind::Internal,
-                    message: format!("injected fault at {}", site.name()),
-                });
-            }
-        }
+    // The query path's fault site. An injected error is transient (never
+    // cached) by early return here, before the insert below.
+    if shared.faults.perturb(FaultSite::WorkerExecute) {
+        return Err(RequestError {
+            kind: ErrorKind::Internal,
+            message: "injected fault at worker_execute".into(),
+        });
     }
     let started = Instant::now();
     let graph = entry.graph();
@@ -1354,13 +1267,11 @@ fn execute(
             kind: ErrorKind::Search,
             message: e.to_string(),
         });
-    {
-        let mut counters = lock_unpoisoned(&shared.counters);
-        counters.searches_executed += 1;
-        counters.total_search_time += elapsed;
-        if outcome.is_err() {
-            counters.search_errors += 1;
-        }
+    let m = &*shared.metrics;
+    m.searches_executed.inc();
+    m.search_time_ns.add(elapsed.as_nanos() as u64);
+    if outcome.is_err() {
+        m.search_errors.inc();
     }
     // Search outcomes — including deterministic search errors — are
     // cacheable; timeouts and panics never reach this point.
@@ -1759,12 +1670,12 @@ mod tests {
 
     #[test]
     fn injected_error_is_transient_and_never_cached() {
-        let service = service_with_faults(&["query_distance:error:1:1"]);
+        let service = service_with_faults(&["worker_execute:error:1:1"]);
         let LineOutcome::Output(first) = service.process_line("search ql=l0 qr=r0") else {
             panic!();
         };
         assert!(first.contains("\"error\":\"internal\""), "{first}");
-        assert!(first.contains("injected fault at query_distance"), "{first}");
+        assert!(first.contains("injected fault at worker_execute"), "{first}");
         let LineOutcome::Output(second) = service.process_line("search ql=l0 qr=r0") else {
             panic!();
         };
@@ -1777,7 +1688,7 @@ mod tests {
 
     #[test]
     fn injected_delay_leaves_response_bytes_identical() {
-        let faulty = service_with_faults(&["core_decomp:delay5ms:1:1"]);
+        let faulty = service_with_faults(&["worker_execute:delay5ms:1:1"]);
         let clean = service_with_faults(&[]);
         let line = "search ql=l0 qr=r0";
         let LineOutcome::Output(a) = faulty.process_line(line) else { panic!() };
@@ -1788,11 +1699,12 @@ mod tests {
 
     #[test]
     fn commit_phase_fault_leaves_staged_batch_intact() {
-        let service = service_with_faults(&["overlay_apply:error:1:1"]);
+        let service = service_with_faults(&["commit:error:1:1"]);
         service.process_line("add_edge u=l3 v=r3");
         let LineOutcome::Output(failed) = service.process_line("commit") else { panic!() };
         assert!(failed.contains("\"ok\":false"), "{failed}");
-        assert!(failed.contains("injected fault at overlay_apply"), "{failed}");
+        assert!(failed.contains("\"error\":\"internal\""), "{failed}");
+        assert!(failed.contains("injected fault at commit"), "{failed}");
         // The batch was never consumed: the next commit applies it.
         let LineOutcome::Output(committed) = service.process_line("commit") else { panic!() };
         assert!(committed.contains("\"ok\":true"), "{committed}");

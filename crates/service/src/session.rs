@@ -26,7 +26,6 @@
 
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use crate::codec::{codec_for, Codec, CodecError, CodecKind};
@@ -140,12 +139,12 @@ impl<'s> Session<'s> {
             }
         };
         let codec = codec_for(CodecKind::negotiate(first));
-        let transport = self.service.transport();
+        let metrics = self.service.metrics();
         loop {
             match codec.read_request(&mut reader) {
                 Ok(None) => return Ok(SessionEnd::Eof),
                 Ok(Some((payload, wire_bytes))) => {
-                    transport.bytes_in.fetch_add(wire_bytes, Ordering::Relaxed);
+                    metrics.bytes_in.add(wire_bytes);
                     match self.step_contained(&payload) {
                         Step::Silent => {}
                         Step::Output(line) => self.emit(&*codec, &mut writer, &line)?,
@@ -298,10 +297,7 @@ impl<'s> Session<'s> {
     ) -> io::Result<()> {
         let wire_bytes = codec.write_response(writer, line)?;
         writer.flush()?;
-        self.service
-            .transport()
-            .bytes_out
-            .fetch_add(wire_bytes, Ordering::Relaxed);
+        self.service.metrics().bytes_out.add(wire_bytes);
         self.emitted += 1;
         Ok(())
     }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use bcc_graph::{GraphBuilder, LabeledGraph};
-use bcc_service::{BccService, LineOutcome, Server, ServerConfig, ServiceConfig};
+use bcc_service::{BccService, FaultSite, LineOutcome, Server, ServerConfig, ServiceConfig};
 
 /// Two labeled 4-cliques bridged by a butterfly (a (3,3,1)-BCC).
 fn butterfly_graph() -> LabeledGraph {
@@ -124,30 +124,38 @@ fn worker_panics_yield_typed_errors_and_full_capacity_after() {
     assert_eq!(faulty.stats().cache.hits, 1);
 }
 
+/// Sends `lines` one at a time over a TCP connection to a server in front
+/// of `service` and returns the responses, so the session-layer sites
+/// (`codec_decode`, `admission`) are on the path too.
+fn tcp_transcript(service: &Arc<BccService>, lines: &[&str]) -> Vec<String> {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let handle = Server::bind(Arc::clone(service), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind 127.0.0.1:0");
+    let mut writer = TcpStream::connect(handle.addr()).expect("connect");
+    writer.set_nodelay(true).expect("set_nodelay");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
+    let responses = lines
+        .iter()
+        .map(|line| {
+            writeln!(writer, "{line}").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            response.trim_end().to_string()
+        })
+        .collect();
+    handle.shutdown();
+    handle.join();
+    responses
+}
+
 /// The full mixed workload — searches, m=2 and m=3 msearch (scatter),
-/// mutate/commit cycles — under always-on delay faults at every site:
-/// delays move wall time only, so every response byte must match the
-/// fault-free twin, while the injection counter proves the plan fired.
+/// mutate/commit cycles — over TCP under an always-on delay fault, armed
+/// at one site at a time: delays move wall time only, so every response
+/// byte must match the fault-free twin, and every site must fire.
 #[test]
 fn delay_faults_at_every_site_leave_all_responses_byte_identical() {
-    let all_sites = [
-        "query_distance:delay1ms:1:0",
-        "core_decomp:delay1ms:1:0",
-        "butterfly_counting:delay1ms:1:0",
-        "leader_pairing:delay1ms:1:0",
-        "overlay_apply:delay1ms:1:0",
-        "cascade:delay1ms:1:0",
-        "chi_delta:delay1ms:1:0",
-        "cache_invalidate:delay1ms:1:0",
-        "query_dist_expand:delay1ms:1:0",
-        "query_dist_merge:delay1ms:1:0",
-        "codec_decode:delay1ms:1:0",
-        "admission:delay1ms:1:0",
-        "worker_execute:delay1ms:1:0",
-        "scatter_pair:delay1ms:1:0",
-    ];
-    let faulty = service_with(three_group_graph(), &all_sites);
-    let clean = service_with(three_group_graph(), &[]);
     let workload = [
         "search ql=0 qr=4",
         "msearch q=0,4 k=3 b=1",
@@ -160,12 +168,15 @@ fn delay_faults_at_every_site_leave_all_responses_byte_identical() {
         "commit",
         "search ql=4 qr=8 method=online",
     ];
-    for line in workload {
-        assert_eq!(expect_output(&faulty, line), expect_output(&clean, line), "line: {line}");
+    let clean = tcp_transcript(&Arc::new(service_with(three_group_graph(), &[])), &workload);
+    for site in FaultSite::ALL {
+        let spec = format!("{}:delay1ms:1:0", site.name());
+        let faulty = Arc::new(service_with(three_group_graph(), &[&spec]));
+        assert_eq!(tcp_transcript(&faulty, &workload), clean, "{spec}");
+        let stats = faulty.stats();
+        assert!(stats.faults_injected > 0, "`{spec}` never fired");
+        assert_eq!(stats.worker_panics, 0);
     }
-    let stats = faulty.stats();
-    assert!(stats.faults_injected > 0, "the delay plan must actually have fired");
-    assert_eq!(stats.worker_panics, 0);
 }
 
 /// A single targeted error fault hits exactly the request it selects by
@@ -219,47 +230,25 @@ fn scatter_pair_panic_is_retried_and_invisible_to_the_client() {
 /// serving afterwards, byte-identical to a clean request.
 #[test]
 fn session_sites_fire_over_tcp_and_the_connection_survives() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-
     let service = Arc::new(service_with(
         butterfly_graph(),
         &["codec_decode:error:1:1", "admission:error:1:1"],
     ));
-    let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
-        .expect("bind 127.0.0.1:0");
-
-    let stream = TcpStream::connect(handle.addr()).expect("connect");
-    stream.set_nodelay(true).expect("set_nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
-    let mut round_trip = |payload: &str| -> String {
-        writer.write_all(payload.as_bytes()).unwrap();
-        writer.write_all(b"\n").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        line.trim_end().to_string()
-    };
+    let line = "search ql=l0 qr=r0";
+    let out = tcp_transcript(&service, &[line; 3]);
+    let (first, second, third) = (&out[0], &out[1], &out[2]);
 
     // First request: the decode-site fault fires before dispatch.
-    let first = round_trip("search ql=l0 qr=r0");
     assert!(
         first.contains("\"kind\":\"internal\"") && first.contains("codec_decode"),
         "got: {first}"
     );
     // Second: the admission-site fault renders as a structured overload.
-    let second = round_trip("search ql=l0 qr=r0");
     assert!(
         second.contains("\"kind\":\"overloaded\"") && second.contains("admission"),
         "got: {second}"
     );
     // Third: the plan is spent; the same line now succeeds.
-    let third = round_trip("search ql=l0 qr=r0");
     assert!(third.contains("\"ok\":true"), "got: {third}");
     assert_eq!(service.fault_plan().injected(), 2);
-
-    round_trip("quit");
-    handle.shutdown();
-    handle.join();
 }

@@ -150,6 +150,13 @@ fn hammering_one_service_from_many_threads_is_consistent() {
     let stats = service.stats();
     assert_eq!(stats.searches_executed, lines.len() as u64);
     assert_eq!(stats.cache.hits, (8 * 3 * lines.len()) as u64);
+    // Every line is a query: the baseline batch plus 8 × 3 replays.
+    assert_eq!(stats.requests, (25 * lines.len()) as u64);
+    let by_verb = |verb: bcc_service::Verb| stats.requests_by_verb[verb.index()];
+    assert_eq!(
+        stats.requests,
+        by_verb(bcc_service::Verb::Search) + by_verb(bcc_service::Verb::Msearch)
+    );
 }
 
 /// Three label groups A (0..4), B (4..8), C (8..12): each a 4-clique, A–B

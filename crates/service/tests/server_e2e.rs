@@ -4,7 +4,6 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bcc_graph::{GraphBuilder, LabeledGraph};
@@ -58,11 +57,14 @@ fn start(service: &Arc<BccService>, config: ServerConfig) -> ServerHandle {
     Server::bind(Arc::clone(service), "127.0.0.1:0", config).expect("bind 127.0.0.1:0")
 }
 
-/// A test client speaking either codec over one connection.
+/// A test client speaking either codec over one connection, counting the
+/// wire bytes it sends and receives.
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     binary: bool,
+    sent: u64,
+    received: u64,
 }
 
 impl Client {
@@ -73,19 +75,23 @@ impl Client {
             reader: BufReader::new(stream.try_clone().expect("clone stream")),
             writer: stream,
             binary,
+            sent: 0,
+            received: 0,
         }
     }
 
     fn send(&mut self, payload: &str) {
-        if self.binary {
-            self.writer.write_all(&BinaryCodec::encode_frame(payload)).unwrap();
+        let wire = if self.binary {
+            BinaryCodec::encode_frame(payload)
         } else {
             let mut line = Vec::with_capacity(payload.len() + 1);
             line.extend_from_slice(payload.as_bytes());
             line.push(b'\n');
-            self.writer.write_all(&line).unwrap();
-        }
+            line
+        };
+        self.writer.write_all(&wire).unwrap();
         self.writer.flush().unwrap();
+        self.sent += wire.len() as u64;
     }
 
     fn recv(&mut self) -> Option<String> {
@@ -95,12 +101,14 @@ impl Client {
             let len = u32::from_be_bytes(prefix) as usize;
             let mut payload = vec![0u8; len];
             self.reader.read_exact(&mut payload).ok()?;
+            self.received += 4 + len as u64;
             Some(String::from_utf8(payload).expect("UTF-8 response"))
         } else {
             let mut line = String::new();
             match self.reader.read_line(&mut line) {
                 Ok(0) | Err(_) => None,
-                Ok(_) => {
+                Ok(read) => {
+                    self.received += read as u64;
                     while line.ends_with('\n') || line.ends_with('\r') {
                         line.pop();
                     }
@@ -140,7 +148,7 @@ fn eight_concurrent_clients_match_run_batch_on_both_codecs() {
     let service = service_with_graphs(CLIENTS);
     let handle = start(&service, ServerConfig::default());
 
-    let collected: Vec<(usize, Vec<String>)> = std::thread::scope(|s| {
+    let collected: Vec<(usize, Vec<String>, (u64, u64))> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|i| {
                 let handle = &handle;
@@ -153,7 +161,7 @@ fn eight_concurrent_clients_match_run_batch_on_both_codecs() {
                         .collect();
                     client.send("quit");
                     assert!(client.recv().is_none(), "quit closes the session");
-                    (i, responses)
+                    (i, responses, (client.sent, client.received))
                 })
             })
             .collect();
@@ -162,7 +170,10 @@ fn eight_concurrent_clients_match_run_batch_on_both_codecs() {
 
     // Each client's responses must be byte-identical to the equivalent
     // run_batch against a fresh service holding the same graph.
-    for (i, responses) in collected {
+    let (mut wire_sent, mut wire_received) = (0, 0);
+    for (i, responses, (sent, received)) in collected {
+        wire_sent += sent;
+        wire_received += received;
         let graph = format!("g{i}");
         let twin = BccService::new(ServiceConfig {
             workers: 2,
@@ -188,7 +199,10 @@ fn eight_concurrent_clients_match_run_batch_on_both_codecs() {
 
     handle.shutdown();
     handle.join();
-    assert_eq!(service.stats().active_sessions, 0, "no leaked sessions");
+    let stats = service.stats();
+    assert_eq!(stats.active_sessions, 0, "no leaked sessions");
+    assert_eq!(stats.bytes_in, wire_sent, "bytes_in counts every byte the clients wrote");
+    assert_eq!(stats.bytes_out, wire_received, "bytes_out counts every byte the clients read");
 }
 
 #[test]
@@ -324,10 +338,7 @@ fn connection_limit_rejects_with_structured_error() {
         "{rejection}"
     );
     assert!(rejection.contains("connection limit"), "{rejection}");
-    assert_eq!(
-        service.transport().connections_rejected.load(Ordering::Relaxed),
-        1
-    );
+    assert_eq!(service.stats().connections_rejected, 1);
 
     handle.shutdown();
     handle.join();

@@ -44,7 +44,7 @@ proptest! {
         prop_assert_eq!(fast, oracle);
     }
 
-    /// The three global counters agree, and each equals Σχ/4.
+    /// The two global counters agree, and each equals Σχ/4.
     #[test]
     fn global_butterfly_counters_agree((l, r, edges) in random_bipartiteish()) {
         let g = build_two_label(l, r, &edges);
@@ -53,7 +53,6 @@ proptest! {
         let counts = ButterflyCounts::compute(&view, cross);
         let total = counts.total();
         prop_assert_eq!(bcc::butterfly::counting::total_butterflies(&view, cross), total);
-        prop_assert_eq!(bcc::butterfly::counting::total_butterflies_priority(&view, cross), total);
     }
 
     /// Algorithm 7's leader update equals the recount difference for every
