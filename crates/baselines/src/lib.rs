@@ -1,11 +1,11 @@
 //! Community-search baselines the paper compares against (Section 8):
 //!
 //! * [`CtcSearch`] — **CTC**, the closest truss community model of Huang et
-//!   al. [20]: the connected k-truss containing the query vertices with
+//!   al. \[20\]: the connected k-truss containing the query vertices with
 //!   maximum trussness, shrunk by farthest-vertex peeling to minimize the
 //!   query distance.
 //! * [`PsaSearch`] — **PSA**, the progressive minimum k-core search of Li et
-//!   al. [23]: a small connected k-core containing the query vertices,
+//!   al. \[23\]: a small connected k-core containing the query vertices,
 //!   found by expand-then-shrink greedy minimization (see DESIGN.md for the
 //!   documented substitution of the original pruning machinery).
 //!

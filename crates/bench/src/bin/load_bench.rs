@@ -261,12 +261,12 @@ fn main() {
     let handle = Server::bind(
         Arc::clone(&service),
         "127.0.0.1:0",
-        ServerConfig { concurrency: 1, queue_depth: 0, ..ServerConfig::default() },
+        ServerConfig { queue_depth: 0, ..ServerConfig::default() },
     )
     .expect("bind overload server");
     let permit = handle
         .admission()
-        .admit(u64::MAX, Priority::Normal, None)
+        .admit(Priority::Normal, None)
         .expect("hold the only admission slot");
     let mut client = Client::connect(handle.addr(), false);
     let overload_requests = 16usize;

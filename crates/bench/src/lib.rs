@@ -22,9 +22,9 @@ use bcc_graph::{GraphView, VertexId};
 /// The five evaluated methods, in the paper's legend order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Method {
-    /// Progressive minimum k-core search [23].
+    /// Progressive minimum k-core search \[23\].
     Psa,
-    /// Closest truss community [20].
+    /// Closest truss community \[20\].
     Ctc,
     /// Algorithm 1.
     OnlineBcc,

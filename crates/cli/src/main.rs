@@ -23,7 +23,7 @@ use bcc_core::{
     BccIndex, BccParams, BccQuery, LpBcc, MbccParams, MbccQuery, MultiLabelBcc, MultiStrategy,
 };
 use bcc_graph::{GraphView, LabeledGraph, VertexId};
-use bcc_service::{BccService, Server, ServerConfig, ServiceConfig};
+use bcc_service::{BccService, FaultSite, Server, ServerConfig, ServiceConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -102,11 +102,11 @@ delay<N>ms; site is one of codec_decode (serve/listen: a session decoded a
 request), admission (listen: a query is about to ask the admission gate for
 a permit), worker_execute (a worker is about to run a search), scatter_pair
 (a scatter pair sub-query runs) or commit (a commit is about to apply the
-staged batch). The Nth..N+count-1th matches at the site fire; everything
-else is untouched. Worker panics are
-contained (a structured `internal` error; the worker is respawned so pool
-capacity never decays). A scatter pair sub-query that fails internally is
-retried up to twice inside the request's deadline.";
+staged batch). A site the command never reaches is rejected. The
+Nth..N+count-1th matches at the site fire; everything else is untouched.
+Worker panics are contained (a structured `internal` error; the worker
+keeps serving). A scatter pair sub-query that fails internally is retried
+up to twice inside the request's deadline.";
 
 fn run(args: &[String]) -> Result<(), String> {
     let command = args.first().ok_or("missing command")?;
@@ -370,13 +370,33 @@ fn msearch(args: &[String]) -> Result<(), String> {
 /// Collect repeated `--fault <site>:<action>[:<from>[:<count>]]` specs and
 /// pre-validate them: `BccService::new` panics on a malformed plan (it has no
 /// error channel), so parse the whole set here and surface a clean CLI error
-/// instead.
+/// instead. A site the command never reaches is an error too: `admission`
+/// is checked only by TCP sessions, and `codec_decode` only by sessions,
+/// which `batch` does not run.
 fn fault_specs(args: &[String]) -> Result<Vec<String>, String> {
     let specs: Vec<String> = flag_values(args, "--fault")
         .into_iter()
         .map(str::to_string)
         .collect();
     bcc_service::FaultPlan::parse(&specs).map_err(|e| format!("invalid --fault spec: {e}"))?;
+    let command = args[0].as_str();
+    for spec in &specs {
+        let Some(site) = spec.split(':').next().and_then(FaultSite::from_name) else {
+            continue;
+        };
+        let fires_under: &[&str] = match site {
+            FaultSite::Admission => &["listen"],
+            FaultSite::CodecDecode => &["serve", "listen"],
+            _ => continue,
+        };
+        if !fires_under.contains(&command) {
+            return Err(format!(
+                "--fault site `{}` never fires under `{command}` (only under {})",
+                site.name(),
+                fires_under.join(" and ")
+            ));
+        }
+    }
     Ok(specs)
 }
 
@@ -403,7 +423,6 @@ fn start_service(args: &[String]) -> Result<BccService, String> {
             .map(|c| c.parse().map_err(|_| "--cache-weight-cap must be an integer"))
             .transpose()?
             .unwrap_or(0),
-        default_timeout_ms: None,
         default_graph: flag_value(args, "--name").unwrap_or(&stem).to_string(),
         index_threads: index_threads(args, 0)?,
         metrics: !has_flag(args, "--no-metrics"),

@@ -270,6 +270,42 @@ fn listen_framing_violation_gets_structured_error_then_close() {
 }
 
 #[test]
+fn listen_accepts_and_fires_the_session_fault_sites() {
+    let dir = temp_dir("fault-sites");
+    let graph = graph_file(&dir);
+    let (mut child, addr, _stderr_lines) = spawn_listen(
+        &graph,
+        &[
+            "--fault",
+            "codec_decode:error:1:1",
+            "--fault",
+            "admission:error:1:1",
+        ],
+    );
+
+    // The first request trips `codec_decode` before dispatch; the second is
+    // the first to reach the gate and trips `admission`; the third is served.
+    let mut client = Client::connect(addr, false);
+    let decoded = client.round_trip("search ql=l0 qr=r0");
+    assert!(
+        decoded.contains("injected fault at codec_decode"),
+        "{decoded}"
+    );
+    let admitted = client.round_trip("search ql=l0 qr=r0");
+    assert!(
+        admitted.contains("injected fault at admission"),
+        "{admitted}"
+    );
+    assert!(client
+        .round_trip("search ql=l0 qr=r0")
+        .contains("\"ok\":true"));
+    client.send("shutdown");
+    assert!(child.wait().expect("exits").success());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn listen_survives_clients_dying_mid_frame_without_leaking_sessions() {
     let dir = temp_dir("midframe");
     let graph = graph_file(&dir);

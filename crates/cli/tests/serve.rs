@@ -263,3 +263,39 @@ fn serving_commands_reject_unknown_flags() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fault_sites_the_command_never_reaches_are_rejected() {
+    let dir = temp_dir("fault-sites");
+    let graph = graph_file(&dir);
+    let graph = graph.to_str().expect("utf8 temp path");
+    let queries = dir.join("queries.txt");
+    std::fs::write(&queries, "search ql=l0 qr=r0\n").expect("write queries");
+    let queries = queries.to_str().expect("utf8 temp path");
+
+    // `admission` is checked only by TCP sessions and `codec_decode` only by
+    // sessions, which `batch` does not run: such a plan could never fire.
+    for (positional, site, fires_under) in [
+        (
+            vec!["batch", graph, queries],
+            "codec_decode",
+            "serve and listen",
+        ),
+        (vec!["batch", graph, queries], "admission", "listen"),
+        (vec!["serve", graph], "admission", "listen"),
+    ] {
+        let spec = format!("{site}:error");
+        let mut args = positional.clone();
+        args.extend(["--fault", spec.as_str()]);
+        let output = run_to_exit(&args);
+        assert_eq!(output.status.code(), Some(1), "`{args:?}` must fail");
+        let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
+        let message = format!(
+            "--fault site `{site}` never fires under `{}` (only under {fires_under})",
+            positional[0]
+        );
+        assert!(stderr.contains(&message), "`{args:?}`: {stderr}");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

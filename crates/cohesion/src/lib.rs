@@ -9,7 +9,7 @@
 //!   Algorithm 4 and of the CTC search loop).
 //!
 //! Core decomposition uses the linear bucket algorithm of Batagelj &
-//! Zaversnik [3]; truss decomposition uses support peeling in
+//! Zaversnik \[3\]; truss decomposition uses support peeling in
 //! ascending-support order.
 //!
 //! ```

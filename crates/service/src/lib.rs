@@ -81,7 +81,7 @@ pub use response::{
 };
 pub use server::{Admission, AdmissionPermit, AdmitError, Server, ServerConfig, ServerHandle};
 pub use service::{BccService, LineOutcome, Pending, ServiceConfig, ServiceStats};
-pub use session::{session_error_json, SeqPolicy, Session, SessionConfig, SessionEnd};
+pub use session::{session_error_json, SeqPolicy, Session, SessionEnd};
 
 /// Compile-time audit that every type the worker pool shares across threads
 /// is `Send + Sync`: the graph snapshot, the index, the searchers, and the

@@ -22,7 +22,7 @@
 //!   `load_bench` compares against.
 //!
 //! Three counts live with their single writers instead: the worker pool's
-//! executed/panic/respawn counters, [`crate::FaultPlan::injected`], and the
+//! executed/panic counters, [`crate::FaultPlan::injected`], and the
 //! result cache's [`crate::CacheCounters`].
 
 use std::time::Duration;

@@ -6,18 +6,12 @@
 //! result back. Searches are CPU-bound and non-blocking, so N = available
 //! hardware parallelism is the right default.
 //!
-//! Panics are contained at two layers so pool capacity never decays:
-//!
-//! * [`WorkerPool::submit`] wraps the closure in `catch_unwind` — a
-//!   panicking job delivers a typed [`JobError::Panicked`] through its
-//!   [`Ticket`] (carrying the panic message) and the worker thread keeps
-//!   serving;
-//! * [`WorkerPool::execute`] (fire-and-forget) jobs run uncaught, so a
-//!   panic unwinds the worker thread — a drop guard then respawns a
-//!   replacement before the thread dies, restoring the pool to full width.
-//!
-//! Both paths count into [`WorkerPool::panics`] / [`WorkerPool::respawns`]
-//! (surfaced in `stats` and Prometheus).
+//! [`WorkerPool::submit`] is the one way in, and it runs every job under
+//! `catch_unwind`: a panicking job delivers a typed [`JobError::Panicked`]
+//! through its [`Ticket`] (carrying the panic message), counts into
+//! [`WorkerPool::panics`] (surfaced in `stats` and Prometheus), and the
+//! worker thread keeps serving — no job can unwind a worker, so the pool
+//! never loses capacity.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,73 +34,14 @@ struct Shared {
     queue: Mutex<Queue>,
     work_ready: std::sync::Condvar,
     executed: AtomicU64,
-    /// Jobs that panicked (contained either way: caught on the submit
-    /// path, respawned on the execute path).
+    /// Jobs that panicked (each caught and delivered to its ticket).
     panics: AtomicU64,
-    /// Worker threads respawned after an uncaught job panic.
-    respawns: AtomicU64,
-    /// Monotonic worker-name counter (replacements get fresh names).
-    next_worker: AtomicU64,
-    /// Live worker handles. Respawn guards push replacements here *before*
-    /// their dying thread exits, and `Drop` joins until the vec drains —
-    /// joining a panicked worker blocks until its guard has pushed, so a
-    /// replacement handle is always observed.
-    handles: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// Respawns the worker thread if it is unwinding from a job panic.
-///
-/// Lives on each worker thread's stack for the lifetime of its loop: a
-/// normal return (shutdown) drops it inert; an unwinding drop counts the
-/// panic and — unless the pool is shutting down — spawns a replacement so
-/// the pool never loses capacity to a panicking fire-and-forget job.
-struct RespawnGuard {
-    shared: Arc<Shared>,
-}
-
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        self.shared.panics.fetch_add(1, Ordering::Relaxed);
-        {
-            // Skip the respawn only when the pool is shutting down *and*
-            // nothing is queued: `Drop` promises every already-queued job
-            // runs before the workers exit, and a worker dying during
-            // shutdown with work pending would strand that queue unless a
-            // replacement drains it.
-            let queue = lock_unpoisoned(&self.shared.queue);
-            if queue.shutdown && queue.jobs.is_empty() {
-                return;
-            }
-        }
-        // Count before the replacement can run: a job that observes the
-        // replacement (e.g. a barrier) must also observe the counter.
-        self.shared.respawns.fetch_add(1, Ordering::Relaxed);
-        if let Ok(handle) = spawn_worker(&self.shared) {
-            lock_unpoisoned(&self.shared.handles).push(handle);
-        }
-    }
-}
-
-fn spawn_worker(shared: &Arc<Shared>) -> std::io::Result<JoinHandle<()>> {
-    let id = shared.next_worker.fetch_add(1, Ordering::Relaxed);
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("bcc-worker-{id}"))
-        .spawn(move || {
-            let _guard = RespawnGuard { shared: Arc::clone(&shared) };
-            worker_loop(&shared);
-        })
 }
 
 /// A fixed-size pool of worker threads executing submitted closures.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    /// Configured width — the pool's invariant worker count (respawns keep
-    /// the live thread count here).
-    width: usize,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
@@ -118,21 +53,22 @@ impl WorkerPool {
             work_ready: std::sync::Condvar::new(),
             executed: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            next_worker: AtomicU64::new(0),
-            handles: Mutex::new(Vec::with_capacity(width)),
         });
-        for _ in 0..width {
-            let handle = spawn_worker(&shared).expect("spawn worker thread");
-            lock_unpoisoned(&shared.handles).push(handle);
-        }
-        WorkerPool { shared, width }
+        let workers = (0..width)
+            .map(|id| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("bcc-worker-{id}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        WorkerPool { shared, workers }
     }
 
-    /// Number of worker threads (the configured width; panics respawn, so
-    /// the live count equals this).
+    /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.width
+        self.workers.len()
     }
 
     /// Jobs executed so far (lifetime total).
@@ -141,14 +77,9 @@ impl WorkerPool {
     }
 
     /// Jobs that panicked on this pool (lifetime total; every one was
-    /// contained — caught or respawned).
+    /// caught and typed at its ticket).
     pub fn panics(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
-    }
-
-    /// Worker threads respawned after an uncaught job panic.
-    pub fn respawns(&self) -> u64 {
-        self.shared.respawns.load(Ordering::Relaxed)
     }
 
     /// Jobs accepted but not yet picked up by a worker (instantaneous
@@ -157,18 +88,9 @@ impl WorkerPool {
         lock_unpoisoned(&self.shared.queue).jobs.len()
     }
 
-    /// Enqueues a fire-and-forget job. A panicking job takes its worker
-    /// thread down — and a replacement is respawned in its place.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let mut queue = lock_unpoisoned(&self.shared.queue);
-        queue.jobs.push_back(Box::new(job));
-        drop(queue);
-        self.shared.work_ready.notify_one();
-    }
-
     /// Enqueues `f` and returns a [`Ticket`] for its result. The job runs
     /// under `catch_unwind`: a panic becomes [`JobError::Panicked`] at the
-    /// ticket (the worker thread survives, no respawn needed).
+    /// ticket and the worker thread survives.
     pub fn submit<T, F>(&self, f: F) -> Ticket<T>
     where
         T: Send + 'static,
@@ -176,7 +98,7 @@ impl WorkerPool {
     {
         let (tx, rx) = mpsc::channel();
         let shared = Arc::clone(&self.shared);
-        self.execute(move || {
+        let job: Job = Box::new(move || {
             // `f` only touches owned/Arc state (the service's shared
             // handles are all Sync); catching its unwind cannot expose a
             // broken borrow — and every mutex it might have poisoned is
@@ -190,6 +112,8 @@ impl WorkerPool {
             // (e.g. populating the result cache).
             let _ = tx.send(result);
         });
+        lock_unpoisoned(&self.shared.queue).jobs.push_back(job);
+        self.shared.work_ready.notify_one();
         Ticket { rx }
     }
 }
@@ -198,15 +122,10 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         lock_unpoisoned(&self.shared.queue).shutdown = true;
         self.shared.work_ready.notify_all();
-        // Join until the handle list drains: joining a panicked worker
-        // blocks until its respawn guard ran, and the guard pushes the
-        // replacement's handle before its thread exits, so no live worker
-        // can be missed.
-        loop {
-            let Some(handle) = lock_unpoisoned(&self.shared.handles).pop() else {
-                break;
-            };
-            let _ = handle.join();
+        // Workers drain the queue before they observe shutdown, so every
+        // already-queued job runs before these joins return.
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -250,8 +169,8 @@ pub fn default_workers() -> usize {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobError {
     /// The job panicked; the payload message rode back on the ticket. The
-    /// worker survived (submit jobs are caught) and the work's partial
-    /// side effects never include a cache insert.
+    /// worker survived and the work's partial side effects never include a
+    /// cache insert.
     Panicked(String),
     /// The deadline passed before the job finished (the job keeps
     /// running for its side effects).
@@ -337,7 +256,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         // Occupy the single worker so the probe job cannot start.
         let (hold_tx, hold_rx) = mpsc::channel::<()>();
-        pool.execute(move || {
+        let _hold = pool.submit(move || {
             let _ = hold_rx.recv_timeout(Duration::from_secs(5));
         });
         let ticket = pool.submit(|| 42);
@@ -361,7 +280,7 @@ mod tests {
             let pool = WorkerPool::new(2);
             for _ in 0..16 {
                 let counter = Arc::clone(&counter);
-                pool.execute(move || {
+                let _ = pool.submit(move || {
                     counter.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -386,41 +305,9 @@ mod tests {
             other => panic!("expected Panicked, got {other:?}"),
         }
         assert_eq!(pool.panics(), 1);
-        assert_eq!(pool.respawns(), 0, "submit panics are caught, not respawned");
         // The single worker survived: later jobs still run on it.
         assert_eq!(pool.submit(|| 5).wait(), Ok(5));
         assert_eq!(pool.workers(), 1);
-    }
-
-    #[test]
-    fn executed_panic_respawns_the_worker() {
-        let pool = WorkerPool::new(1);
-        for _ in 0..3 {
-            pool.execute(|| panic!("die"));
-        }
-        // The barrier job proves a live worker processed the whole queue
-        // behind the three panics — capacity was restored each time.
-        assert_eq!(pool.submit(|| 11).wait(), Ok(11));
-        assert_eq!(pool.panics(), 3);
-        assert_eq!(pool.respawns(), 3);
-        assert_eq!(pool.workers(), 1);
-    }
-
-    #[test]
-    fn drop_joins_respawned_workers() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = WorkerPool::new(1);
-            pool.execute(|| panic!("die"));
-            for _ in 0..4 {
-                let counter = Arc::clone(&counter);
-                pool.execute(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        }
-        // The replacement worker drained the queue and was joined.
-        assert_eq!(counter.load(Ordering::SeqCst), 4);
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl Method {
 
 /// Admission priority of a request. Priorities only matter where requests
 /// compete for execution — the TCP front-end's admission queue dispatches
-/// higher priorities first (fairness and FIFO break ties). The sequential
+/// higher priorities first (arrival order breaks ties). The sequential
 /// `serve`/`batch` paths accept the key and ignore it, so a line's output
 /// bytes never depend on its priority.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]

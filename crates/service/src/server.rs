@@ -5,18 +5,20 @@
 //! how many exist at once (`max_connections`), turning extras away with a
 //! structured `overloaded` error. Inside the connection limit, the
 //! [`Admission`] gate bounds how many requests may *wait* for the worker
-//! pool (`queue_depth`) and how many may occupy it (`concurrency`):
+//! pool (`queue_depth`); as many may occupy it as the pool has workers:
 //!
 //! * a request arriving to a full wait queue is rejected immediately with
 //!   `{"ok":false,...,"error":{"kind":"overloaded",...}}` — the client
 //!   always gets an answer, never a silent drop or an unbounded stall;
 //! * waiting requests dispatch by **priority** first (`priority=high`
-//!   before `normal` before `low`), then **per-session fairness** (the
-//!   session served least often goes first, so one chatty client cannot
-//!   starve the rest), then FIFO;
-//! * a request whose deadline expires while queued gets the standard
-//!   structured `timeout` error without ever touching the pool — the
-//!   admission queue honors the same `timeout_ms` the executor does.
+//!   before `normal` before `low`), then in arrival order. A session reads
+//!   its next request only after writing the previous response, so it
+//!   never has two waiters: arrival order serves every waiting session once
+//!   before any session is served twice;
+//! * a request's deadline runs from the moment its session asks the gate:
+//!   one that expires while queued gets the standard structured `timeout`
+//!   error without ever touching the pool, and one admitted late executes
+//!   on what is left of its `timeout_ms`.
 //!
 //! `shutdown` from any session closes every session, stops the accept
 //! loop, and joins all threads — [`ServerHandle::join`] returns only when
@@ -34,7 +36,7 @@ use crate::codec::{Codec, LineCodec};
 use crate::fault::{lock_unpoisoned, panic_message};
 use crate::metrics::Metrics;
 use crate::request::Priority;
-use crate::session::{session_error_json, Session, SessionConfig, SessionEnd};
+use crate::session::{session_error_json, Session, SessionEnd};
 use crate::service::BccService;
 
 /// Tunables for a [`Server`].
@@ -47,11 +49,8 @@ pub struct ServerConfig {
     /// Maximum requests waiting in the admission queue (beyond those
     /// executing); an arrival past this bound is rejected immediately.
     pub queue_depth: usize,
-    /// Requests allowed to occupy the worker pool at once (0 ⇒ the pool's
-    /// worker count).
-    pub concurrency: usize,
     /// Deadline inherited by requests that carry no `timeout_ms`
-    /// (`None` ⇒ the service default applies).
+    /// (`None` ⇒ no deadline).
     pub default_timeout_ms: Option<u64>,
 }
 
@@ -60,7 +59,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: 64,
             queue_depth: 128,
-            concurrency: 0,
             default_timeout_ms: None,
         }
     }
@@ -79,7 +77,6 @@ pub enum AdmitError {
 #[derive(Clone, Copy, Debug)]
 struct Waiter {
     ticket: u64,
-    session: u64,
     priority: Priority,
 }
 
@@ -88,12 +85,10 @@ struct AdmState {
     in_flight: usize,
     waiting: Vec<Waiter>,
     next_ticket: u64,
-    /// Requests dispatched per session — the fairness key.
-    served: HashMap<u64, u64>,
 }
 
-/// The admission controller: a bounded, priority- and fairness-ordered
-/// wait queue in front of the worker pool. Sessions block in
+/// The admission controller: a bounded wait queue in front of the worker
+/// pool, ordered by priority and then by arrival. Sessions block in
 /// [`Admission::admit`]; the returned permit occupies one execution slot
 /// until dropped.
 pub struct Admission {
@@ -129,20 +124,18 @@ impl Admission {
         }
     }
 
-    /// Admits one request for `session`, blocking until a slot is free and
-    /// this request is the best-entitled waiter (priority, then least-served
-    /// session, then FIFO). Fails fast with [`AdmitError::Overloaded`] when
-    /// the wait queue is full, and with [`AdmitError::DeadlineExpired`] if
-    /// `deadline` passes while queued.
+    /// Admits one request, blocking until a slot is free and this request
+    /// is the best-entitled waiter (priority, then arrival). Fails fast with
+    /// [`AdmitError::Overloaded`] when the wait queue is full, and with
+    /// [`AdmitError::DeadlineExpired`] if `deadline` passes while queued.
     pub fn admit(
         &self,
-        session: u64,
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<AdmissionPermit<'_>, AdmitError> {
         let mut state = lock_unpoisoned(&self.state);
         if state.in_flight < self.concurrency && state.waiting.is_empty() {
-            return Ok(self.dispatch(&mut state, session));
+            return Ok(self.dispatch(&mut state));
         }
         if state.waiting.len() >= self.queue_depth {
             self.metrics.rejected_overloaded.inc();
@@ -155,7 +148,7 @@ impl Admission {
         }
         let ticket = state.next_ticket;
         state.next_ticket += 1;
-        state.waiting.push(Waiter { ticket, session, priority });
+        state.waiting.push(Waiter { ticket, priority });
         loop {
             if state.in_flight < self.concurrency && self.best(&state) == Some(ticket) {
                 let idx = state
@@ -164,7 +157,7 @@ impl Admission {
                     .position(|w| w.ticket == ticket)
                     .expect("own ticket is queued");
                 state.waiting.swap_remove(idx);
-                let permit = self.dispatch(&mut state, session);
+                let permit = self.dispatch(&mut state);
                 // More slots may be free — let the next-best waiter check.
                 self.available.notify_all();
                 return Ok(permit);
@@ -199,27 +192,20 @@ impl Admission {
         }
     }
 
-    /// Occupies a slot for `session` (state lock held).
-    fn dispatch<'a>(&'a self, state: &mut AdmState, session: u64) -> AdmissionPermit<'a> {
+    /// Occupies a slot (state lock held).
+    fn dispatch<'a>(&'a self, state: &mut AdmState) -> AdmissionPermit<'a> {
         state.in_flight += 1;
-        *state.served.entry(session).or_insert(0) += 1;
         self.metrics.admitted.inc();
         AdmissionPermit { admission: self }
     }
 
     /// The ticket entitled to the next free slot: highest priority, then
-    /// the session dispatched least often, then lowest ticket (FIFO).
+    /// lowest ticket (earliest arrival).
     fn best(&self, state: &AdmState) -> Option<u64> {
         state
             .waiting
             .iter()
-            .min_by_key(|w| {
-                (
-                    std::cmp::Reverse(w.priority),
-                    state.served.get(&w.session).copied().unwrap_or(0),
-                    w.ticket,
-                )
-            })
+            .min_by_key(|w| (std::cmp::Reverse(w.priority), w.ticket))
             .map(|w| w.ticket)
     }
 
@@ -251,6 +237,8 @@ struct Shared {
     /// Live session sockets, keyed by session id — `shutdown` closes them
     /// all (each session thread then unblocks out of its read).
     live: Mutex<HashMap<u64, TcpStream>>,
+    /// Session threads not yet joined: each spawn joins those that have
+    /// ended, and [`ServerHandle::join`] joins the rest.
     session_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -282,7 +270,8 @@ pub struct Server;
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:4000`; port 0 picks a free port) and
     /// starts accepting. Each accepted connection gets a session thread;
-    /// queries admission-gate onto the service's worker pool.
+    /// queries admission-gate onto the service's worker pool, through a
+    /// gate as wide as the pool.
     pub fn bind<A: ToSocketAddrs>(
         service: Arc<BccService>,
         addr: A,
@@ -290,13 +279,11 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let concurrency = if config.concurrency == 0 {
-            service.workers()
-        } else {
-            config.concurrency
-        };
-        let admission =
-            Admission::new(concurrency, config.queue_depth, Arc::clone(service.metrics()));
+        let admission = Admission::new(
+            service.workers(),
+            config.queue_depth,
+            Arc::clone(service.metrics()),
+        );
         let shared = Arc::new(Shared {
             service,
             config,
@@ -376,7 +363,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             .name(format!("bcc-session-{id}"))
             .spawn(move || session_thread(session_shared, id, stream));
         match spawned {
-            Ok(handle) => lock_unpoisoned(&shared.session_threads).push(handle),
+            Ok(handle) => {
+                let mut threads = lock_unpoisoned(&shared.session_threads);
+                // Join the sessions that have ended: a finished thread that
+                // is never joined keeps its stack mapped until shutdown.
+                for ended in threads.extract_if(.., |thread| thread.is_finished()) {
+                    let _ = ended.join();
+                }
+                threads.push(handle);
+            }
             Err(_) => {
                 // Spawn failure: undo the bookkeeping; the stream drops.
                 lock_unpoisoned(&shared.live).remove(&id);
@@ -418,13 +413,9 @@ fn session_thread(shared: Arc<Shared>, id: u64, stream: TcpStream) {
             Ok(read_half) => {
                 let mut session = Session::for_connection(
                     &shared.service,
-                    SessionConfig {
-                        id,
-                        default_graph: None,
-                        default_timeout_ms: shared.config.default_timeout_ms,
-                    },
-                )
-                .with_gate(&shared.admission);
+                    &shared.admission,
+                    shared.config.default_timeout_ms,
+                );
                 // BufWriter turns a codec's prefix + payload + newline
                 // writes into one packet; `Session::emit` flushes per
                 // response.
@@ -453,6 +444,7 @@ fn session_thread(shared: Arc<Shared>, id: u64, stream: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufRead;
     use std::sync::mpsc;
 
     fn gate(concurrency: usize, depth: usize) -> Admission {
@@ -462,8 +454,8 @@ mod tests {
     #[test]
     fn admits_up_to_concurrency_then_queues_then_rejects() {
         let adm = gate(2, 1);
-        let first = adm.admit(0, Priority::Normal, None).unwrap();
-        let _second = adm.admit(1, Priority::Normal, None).unwrap();
+        let first = adm.admit(Priority::Normal, None).unwrap();
+        let _second = adm.admit(Priority::Normal, None).unwrap();
         assert_eq!(adm.load(), (2, 0));
         // Third must wait; occupy the single queue slot from a thread.
         std::thread::scope(|s| {
@@ -474,7 +466,7 @@ mod tests {
                 // unblock it if notification logic is broken.
                 let deadline = Instant::now() + std::time::Duration::from_secs(5);
                 enqueued_tx.send(()).unwrap();
-                let permit = adm.admit(2, Priority::Normal, Some(deadline));
+                let permit = adm.admit(Priority::Normal, Some(deadline));
                 assert!(permit.is_ok(), "queued request dispatches once a slot frees");
             });
             enqueued_rx.recv().unwrap();
@@ -483,7 +475,7 @@ mod tests {
                 std::thread::yield_now();
             }
             // Queue full: an arrival is rejected immediately.
-            let err = adm.admit(3, Priority::Normal, None).unwrap_err();
+            let err = adm.admit(Priority::Normal, None).unwrap_err();
             assert!(matches!(err, AdmitError::Overloaded(ref m) if m.contains("queue")));
             drop(first); // frees a slot → the queued request dispatches
         });
@@ -494,9 +486,9 @@ mod tests {
     #[test]
     fn queued_deadline_expires_without_dispatch() {
         let adm = gate(1, 4);
-        let permit = adm.admit(0, Priority::Normal, None).unwrap();
+        let permit = adm.admit(Priority::Normal, None).unwrap();
         let deadline = Instant::now() + std::time::Duration::from_millis(30);
-        let err = adm.admit(1, Priority::Normal, Some(deadline)).unwrap_err();
+        let err = adm.admit(Priority::Normal, Some(deadline)).unwrap_err();
         assert_eq!(err, AdmitError::DeadlineExpired);
         assert_eq!(adm.load(), (1, 0), "expired waiter left the queue");
         assert_eq!(adm.metrics.admission_timeouts.get(), 1);
@@ -504,50 +496,83 @@ mod tests {
     }
 
     #[test]
-    fn priority_outranks_fifo_and_fairness_outranks_chattiness() {
-        // Serve session 7 twice so its served count is high, then queue:
-        // low(7), high(7), normal(9) — dispatch order must be
-        // high(7) [priority wins], normal(9) [fairness: 9 served less],
-        // low(7).
+    fn priority_outranks_arrival_and_arrival_breaks_ties() {
+        // Queue low(a), normal(b), high(c), normal(d) behind a blocker —
+        // dispatch order must be c [priority wins], then b and d in arrival
+        // order [equal priority], then a.
         let adm = gate(1, 8);
-        for _ in 0..2 {
-            drop(adm.admit(7, Priority::Normal, None).unwrap());
-        }
-        let blocker = adm.admit(0, Priority::Normal, None).unwrap();
+        let blocker = adm.admit(Priority::Normal, None).unwrap();
         let adm = &adm;
         let (order_tx, order_rx) = mpsc::channel::<&'static str>();
         std::thread::scope(|s| {
-            let spawn_waiter = |tag: &'static str, session: u64, priority: Priority| {
+            let waiters = [
+                ("a", Priority::Low),
+                ("b", Priority::Normal),
+                ("c", Priority::High),
+                ("d", Priority::Normal),
+            ];
+            for (queued, (tag, priority)) in waiters.into_iter().enumerate() {
                 let tx = order_tx.clone();
                 s.spawn(move || {
-                    let permit = adm.admit(session, priority, None).unwrap();
+                    let permit = adm.admit(priority, None).unwrap();
                     tx.send(tag).unwrap();
                     // Hold briefly so dispatches serialize observably.
                     std::thread::sleep(std::time::Duration::from_millis(10));
                     drop(permit);
                 });
-            };
-            spawn_waiter("low7", 7, Priority::Low);
-            while adm.load().1 != 1 {
-                std::thread::yield_now();
-            }
-            spawn_waiter("high7", 7, Priority::High);
-            while adm.load().1 != 2 {
-                std::thread::yield_now();
-            }
-            spawn_waiter("normal9", 9, Priority::Normal);
-            while adm.load().1 != 3 {
-                std::thread::yield_now();
+                // Wait until this waiter is queued before the next arrives.
+                while adm.load().1 != queued + 1 {
+                    std::thread::yield_now();
+                }
             }
             drop(blocker);
-            let first = order_rx.recv().unwrap();
-            let second = order_rx.recv().unwrap();
-            let third = order_rx.recv().unwrap();
+            let order: Vec<_> = (0..waiters.len())
+                .map(|_| order_rx.recv().unwrap())
+                .collect();
             assert_eq!(
-                (first, second, third),
-                ("high7", "normal9", "low7"),
-                "dispatch order: priority, then least-served session, then FIFO"
+                order,
+                ["c", "b", "d", "a"],
+                "dispatch order: priority, then arrival"
             );
         });
+    }
+
+    #[test]
+    fn finished_session_threads_are_not_retained() {
+        let service = Arc::new(BccService::new(crate::ServiceConfig {
+            workers: 1,
+            ..crate::ServiceConfig::default()
+        }));
+        let handle = Server::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let threads = || lock_unpoisoned(&handle.shared.session_threads);
+        for _ in 0..24 {
+            let stream = TcpStream::connect(handle.addr()).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            (&stream).write_all(b"graphs\nquit\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"ok\":true"), "{line}");
+            line.clear();
+            assert_eq!(
+                reader.read_line(&mut line).unwrap(),
+                0,
+                "quit closes the session"
+            );
+            // Let every retained session thread finish before the next
+            // connection, so the next spawn joins them all.
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            while !threads().iter().all(JoinHandle::is_finished) {
+                assert!(Instant::now() < deadline, "session thread never finished");
+                std::thread::yield_now();
+            }
+        }
+        // Each spawn joined the sessions that had ended: at most the last
+        // session and one whose handle was pushed after it ended remain.
+        let retained = threads().len();
+        assert!(retained <= 2, "{retained} session handles retained");
+        let metrics = Arc::clone(handle.shared.service.metrics());
+        handle.shutdown();
+        handle.join();
+        assert_eq!(metrics.active_sessions.get(), 0);
     }
 }

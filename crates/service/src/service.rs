@@ -55,8 +55,6 @@ pub struct ServiceConfig {
     /// fits; the newest entry always survives). 0 = no weight budget
     /// (count-capacity only), the historical behavior.
     pub cache_weight_cap: usize,
-    /// Deadline applied to requests that carry no `timeout_ms`.
-    pub default_timeout_ms: Option<u64>,
     /// Registry key used when a request names no graph.
     pub default_graph: String,
     /// Threads for the offline BCindex build of registered graphs (0 ⇒ one
@@ -90,7 +88,6 @@ impl Default for ServiceConfig {
             workers: 0,
             cache_capacity: 4096,
             cache_weight_cap: 0,
-            default_timeout_ms: None,
             default_graph: "default".into(),
             index_threads: 0,
             metrics: true,
@@ -164,9 +161,6 @@ pub struct ServiceStats {
     pub faults_injected: u64,
     /// Worker jobs that panicked (contained, never fatal).
     pub worker_panics: u64,
-    /// Workers respawned after an uncaught job panic (pool capacity never
-    /// decays).
-    pub worker_respawns: u64,
     /// Scatter pair sub-queries re-executed after a transient internal
     /// failure.
     pub pair_retries: u64,
@@ -194,7 +188,7 @@ impl ServiceStats {
              \"graphs\":[{}],\"total_search_time_us\":{},\
              \"slow_queries\":{},\"requests_by_verb\":{{{}}},\
              \"faults\":{{\"injected\":{},\"worker_panics\":{},\
-             \"worker_respawns\":{},\"pair_retries\":{}}}}}",
+             \"pair_retries\":{}}}}}",
             self.requests,
             self.searches_executed,
             self.cache.hits,
@@ -229,7 +223,6 @@ impl ServiceStats {
                 .join(","),
             self.faults_injected,
             self.worker_panics,
-            self.worker_respawns,
             self.pair_retries,
         )
     }
@@ -390,7 +383,6 @@ impl BccService {
             requests_by_verb: Verb::ALL.map(|verb| m.requests(verb)),
             faults_injected: self.faults.injected(),
             worker_panics: self.pool.panics(),
-            worker_respawns: self.pool.respawns(),
             pair_retries: m.pair_retries.get(),
         }
     }
@@ -453,7 +445,6 @@ impl BccService {
 
         let deadline = request
             .timeout_ms
-            .or(self.config.default_timeout_ms)
             .map(|ms| started + Duration::from_millis(ms));
         let method = request.method;
 
@@ -926,13 +917,12 @@ impl BccService {
     pub fn prometheus(&self) -> String {
         let m = &*self.metrics;
         let mut out = m.prometheus();
-        let families: [(&str, &str, u64); 6] = [
+        let families: [(&str, &str, u64); 5] = [
             ("bcc_pool_executed_total", "counter", self.pool.executed()),
             ("bcc_pool_queue_depth", "gauge", self.pool.queued() as u64),
             ("bcc_pool_admitted_total", "counter", m.admitted.get()),
             ("bcc_pool_rejected_total", "counter", m.rejected_overloaded.get()),
             ("bcc_pool_worker_panics_total", "counter", self.pool.panics()),
-            ("bcc_pool_worker_respawns_total", "counter", self.pool.respawns()),
         ];
         for (name, kind, value) in families {
             out.push_str(&format!(
@@ -1173,7 +1163,7 @@ struct ExecShared {
 
 /// Maps a pool-level wait failure to the structured protocol error it
 /// surfaces as: an expired deadline is a `timeout`; a panicked worker job
-/// (contained, worker respawned) and a shut-down pool are `internal` —
+/// (caught; the worker keeps serving) and a shut-down pool are `internal` —
 /// transient, never cached, and retryable by the caller.
 fn job_error(err: JobError) -> RequestError {
     match err {
@@ -1652,9 +1642,8 @@ mod tests {
         };
         assert!(first.contains("\"error\":\"internal\""), "{first}");
         assert!(first.contains("panicked"), "{first}");
-        // The panicked query was never cached; the retry executes at full
-        // (respawn-free: submit containment keeps the worker alive)
-        // capacity and succeeds.
+        // The panicked query was never cached; the retry executes on the
+        // same worker (submit containment keeps it alive) and succeeds.
         let LineOutcome::Output(second) = service.process_line("search ql=l0 qr=r0") else {
             panic!();
         };
@@ -1664,7 +1653,6 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.faults_injected, 1);
         assert_eq!(stats.worker_panics, 1);
-        assert_eq!(stats.worker_respawns, 0, "submit path contains without respawn");
         assert_eq!(stats.workers, 1, "pool capacity intact");
     }
 
@@ -1766,16 +1754,13 @@ mod tests {
         let service = service();
         let stats = service.stats_json();
         assert!(
-            stats.ends_with(
-                ",\"faults\":{\"injected\":0,\"worker_panics\":0,\"worker_respawns\":0,\
-                 \"pair_retries\":0}}"
-            ),
+            stats.ends_with(",\"faults\":{\"injected\":0,\"worker_panics\":0,\"pair_retries\":0}}"),
             "{stats}"
         );
         let prom = service.prometheus();
         assert!(prom.contains("bcc_faults_injected_total 0"), "{prom}");
         assert!(prom.contains("\nbcc_pool_worker_panics_total 0\n"), "{prom}");
-        assert!(prom.contains("\nbcc_pool_worker_respawns_total 0\n"), "{prom}");
+        assert!(!prom.contains("respawn"), "{prom}");
         let metrics = service.metrics_json();
         assert!(metrics.ends_with(",\"faults\":{\"injected\":0,\"pair_retries\":0}}"), "{metrics}");
     }

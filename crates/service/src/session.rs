@@ -1,9 +1,9 @@
 //! Per-connection sessions: one state machine between a byte stream and
 //! the [`BccService`].
 //!
-//! A [`Session`] owns everything connection-scoped: its id, the negotiated
-//! [`Codec`], per-session defaults (graph, deadline inheritance), and the
-//! response sequence numbering. It drives the same line protocol as
+//! A [`Session`] owns everything connection-scoped: the negotiated
+//! [`Codec`], the admission gate and default deadline of a TCP connection,
+//! and the response sequence numbering. It drives the same line protocol as
 //! `process_line` — the service stays transport-agnostic; only the session
 //! knows where the bytes come from.
 //!
@@ -60,27 +60,17 @@ pub enum SessionEnd {
     Protocol,
 }
 
-/// Connection-scoped settings for a [`SeqPolicy::PerSession`] session.
-#[derive(Clone, Debug, Default)]
-pub struct SessionConfig {
-    /// Session id (connection counter; used for admission fairness).
-    pub id: u64,
-    /// Default graph for requests naming none (`None` ⇒ the service
-    /// default applies downstream).
-    pub default_graph: Option<String>,
-    /// Deadline inherited by requests carrying no `timeout_ms`.
-    pub default_timeout_ms: Option<u64>,
-}
-
 /// One connection's state machine. Generic over the byte stream; the codec
 /// is negotiated from the stream's first byte in [`Session::run`].
 pub struct Session<'s> {
     service: &'s BccService,
     policy: SeqPolicy,
-    config: SessionConfig,
     /// The admission gate queries pass before reaching the pool (TCP
     /// sessions only).
     gate: Option<&'s Admission>,
+    /// Deadline inherited by requests carrying no `timeout_ms` (TCP
+    /// sessions only).
+    default_timeout_ms: Option<u64>,
     /// Responses emitted so far — the next per-session seq.
     emitted: u64,
 }
@@ -98,27 +88,26 @@ impl<'s> Session<'s> {
         Session {
             service,
             policy: SeqPolicy::Service,
-            config: SessionConfig::default(),
             gate: None,
+            default_timeout_ms: None,
             emitted: 0,
         }
     }
 
-    /// A TCP connection's session.
-    pub fn for_connection(service: &'s BccService, config: SessionConfig) -> Self {
+    /// A TCP connection's session: its queries pass `gate`, and those
+    /// carrying no `timeout_ms` inherit `default_timeout_ms`.
+    pub fn for_connection(
+        service: &'s BccService,
+        gate: &'s Admission,
+        default_timeout_ms: Option<u64>,
+    ) -> Self {
         Session {
             service,
             policy: SeqPolicy::PerSession,
-            config,
-            gate: None,
+            gate: Some(gate),
+            default_timeout_ms,
             emitted: 0,
         }
-    }
-
-    /// Routes this session's query dispatches through the admission gate.
-    pub fn with_gate(mut self, gate: &'s Admission) -> Self {
-        self.gate = Some(gate);
-        self
     }
 
     /// Runs the session to completion: negotiate the codec off the first
@@ -212,19 +201,11 @@ impl<'s> Session<'s> {
             Ok(ParsedLine::Stats) => Step::Output(self.service.stats_json()),
             Ok(ParsedLine::Graphs) => Step::Output(self.service.graphs_json()),
             Ok(ParsedLine::Metrics) => Step::Output(self.service.metrics_json()),
-            Ok(ParsedLine::Mutate(mut request)) => {
-                if request.graph.is_none() {
-                    request.graph = self.config.default_graph.clone();
-                }
+            Ok(ParsedLine::Mutate(request)) => {
                 Step::Output(self.service.handle_mutate(request).to_json())
             }
             Ok(ParsedLine::Request(mut request)) => {
-                if request.graph.is_none() {
-                    request.graph = self.config.default_graph.clone();
-                }
-                if request.timeout_ms.is_none() {
-                    request.timeout_ms = self.config.default_timeout_ms;
-                }
+                request.timeout_ms = request.timeout_ms.or(self.default_timeout_ms);
                 Step::Output(self.dispatch_query(request))
             }
             Err(err) => {
@@ -238,9 +219,10 @@ impl<'s> Session<'s> {
         }
     }
 
-    /// Runs one query through the admission gate (when one is attached)
-    /// and the service, with this session's output index as its seq.
-    fn dispatch_query(&self, request: QueryRequest) -> String {
+    /// Runs one query through the admission gate and the service, with
+    /// this session's output index as its seq. The request's deadline runs
+    /// from here: the service gets only the budget the gate wait left.
+    fn dispatch_query(&self, mut request: QueryRequest) -> String {
         let seq = self.emitted;
         // The `admission` fault site: a synthetic gate rejection (or delay,
         // or panic — contained by `step_contained`) before any real gate
@@ -248,23 +230,26 @@ impl<'s> Session<'s> {
         if self.service.fault_plan().perturb(FaultSite::Admission) {
             return session_error_json(Some(seq), "overloaded", "injected fault at admission");
         }
-        let Some(gate) = self.gate else {
-            let mut response = self.service.handle(request);
-            response.seq = seq;
-            return response.to_json();
-        };
-        let deadline = request
-            .timeout_ms
-            .or(self.service.config().default_timeout_ms)
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let method = request.method;
+        let gate = self
+            .gate
+            .expect("per-session sessions are built with a gate");
         // Queue wait = time from asking the gate to holding a permit (or
         // being turned away) — the admission component of tail latency.
         let wait_started = Instant::now();
-        let admitted = gate.admit(self.config.id, request.priority, deadline);
+        let deadline = request
+            .timeout_ms
+            .map(|ms| wait_started + Duration::from_millis(ms));
+        let method = request.method;
+        let admitted = gate.admit(request.priority, deadline);
         self.service.metrics().record_queue_wait(wait_started.elapsed());
         match admitted {
             Ok(_permit) => {
+                if let Some(deadline) = deadline {
+                    // Whole milliseconds, rounded up: a request admitted at
+                    // once keeps its full `timeout_ms`.
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    request.timeout_ms = Some(left.as_micros().div_ceil(1000) as u64);
+                }
                 // The permit spans the whole submit + wait: the session
                 // occupies one admission slot until its response is ready.
                 let mut response = self.service.handle(request);

@@ -295,10 +295,7 @@ fn stats_json_keeps_historical_prefix_and_appends_new_keys() {
     assert!(tail.contains("\"stats\":1"), "stats_json counts its own verb: {tail}");
     // The fault counters append last.
     assert!(
-        tail.ends_with(
-            "},\"faults\":{\"injected\":0,\"worker_panics\":0,\"worker_respawns\":0,\
-             \"pair_retries\":0}}"
-        ),
+        tail.ends_with("},\"faults\":{\"injected\":0,\"worker_panics\":0,\"pair_retries\":0}}"),
         "{tail}"
     );
 }
@@ -341,7 +338,6 @@ fn pool_surfaces_track_real_traffic() {
         ("bcc_pool_admitted_total", 6),
         ("bcc_pool_rejected_total", 0),
         ("bcc_pool_worker_panics_total", 0),
-        ("bcc_pool_worker_respawns_total", 0),
     ] {
         assert_eq!(sample(&prom, family), want, "{family}: {prom}");
     }

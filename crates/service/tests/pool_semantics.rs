@@ -19,7 +19,7 @@ fn drop_drains_jobs_queued_behind_a_running_job() {
     // Gate the single worker so the counter jobs provably sit in the queue.
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let (running_tx, running_rx) = mpsc::channel::<()>();
-    pool.execute(move || {
+    let _gate = pool.submit(move || {
         running_tx.send(()).expect("test alive");
         let _ = gate_rx.recv_timeout(Duration::from_secs(10));
     });
@@ -28,7 +28,7 @@ fn drop_drains_jobs_queued_behind_a_running_job() {
     let counter = Arc::new(AtomicUsize::new(0));
     for _ in 0..8 {
         let counter = Arc::clone(&counter);
-        pool.execute(move || {
+        let _ = pool.submit(move || {
             counter.fetch_add(1, Ordering::SeqCst);
         });
     }

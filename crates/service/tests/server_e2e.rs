@@ -31,9 +31,11 @@ fn butterfly_graph() -> LabeledGraph {
     b.build()
 }
 
-/// A service with `count` independent copies of the butterfly graph
-/// registered as `g0..g{count-1}` — per-client graphs keep concurrent
-/// mutate-then-search workloads deterministic per client.
+/// A service with `workers` workers and `count` independent copies of the
+/// butterfly graph registered as `g0..g{count-1}` — per-client graphs keep
+/// concurrent mutate-then-search workloads deterministic per client. The
+/// server's admission gate is as wide as the pool: with one worker, a test
+/// holding the gate's only permit provokes deterministic queueing.
 ///
 /// The result cache is off: a commit's `invalidated` count depends on
 /// whether earlier searches' results have landed in the cache yet, which
@@ -41,9 +43,9 @@ fn butterfly_graph() -> LabeledGraph {
 /// asynchronously) does not pin down. With the cache disabled both the
 /// sequential TCP session and the batch report `invalidated:0` — every
 /// other byte is timing-independent.
-fn service_with_graphs(count: usize) -> Arc<BccService> {
+fn service_with_graphs(workers: usize, count: usize) -> Arc<BccService> {
     let service = Arc::new(BccService::new(ServiceConfig {
-        workers: 2,
+        workers,
         cache_capacity: 0,
         ..ServiceConfig::default()
     }));
@@ -145,7 +147,7 @@ fn workload(graph: &str) -> Vec<String> {
 #[test]
 fn eight_concurrent_clients_match_run_batch_on_both_codecs() {
     const CLIENTS: usize = 8;
-    let service = service_with_graphs(CLIENTS);
+    let service = service_with_graphs(2, CLIENTS);
     let handle = start(&service, ServerConfig::default());
 
     let collected: Vec<(usize, Vec<String>, (u64, u64))> = std::thread::scope(|s| {
@@ -207,15 +209,15 @@ fn eight_concurrent_clients_match_run_batch_on_both_codecs() {
 
 #[test]
 fn overload_rejects_with_structured_error_and_recovers() {
-    let service = service_with_graphs(1);
+    let service = service_with_graphs(1, 1);
     let handle = start(
         &service,
-        ServerConfig { concurrency: 1, queue_depth: 0, ..ServerConfig::default() },
+        ServerConfig { queue_depth: 0, ..ServerConfig::default() },
     );
 
     // Occupy the only admission slot from the outside: any query arriving
     // now sees a full (depth-0) queue — deterministic overload.
-    let permit = handle.admission().admit(u64::MAX, Priority::Normal, None).unwrap();
+    let permit = handle.admission().admit(Priority::Normal, None).unwrap();
     let mut client = Client::connect(&handle, false);
     let rejected = client.round_trip("search ql=l0 qr=r0 graph=g0");
     assert!(
@@ -245,12 +247,12 @@ fn overload_rejects_with_structured_error_and_recovers() {
 
 #[test]
 fn queued_request_times_out_with_structured_error() {
-    let service = service_with_graphs(1);
+    let service = service_with_graphs(1, 1);
     let handle = start(
         &service,
-        ServerConfig { concurrency: 1, queue_depth: 8, ..ServerConfig::default() },
+        ServerConfig { queue_depth: 8, ..ServerConfig::default() },
     );
-    let permit = handle.admission().admit(u64::MAX, Priority::Normal, None).unwrap();
+    let permit = handle.admission().admit(Priority::Normal, None).unwrap();
     let mut client = Client::connect(&handle, true);
     let response = client.round_trip("search ql=l0 qr=r0 graph=g0 timeout_ms=50");
     assert!(response.contains("\"error\":\"timeout\""), "{response}");
@@ -262,8 +264,47 @@ fn queued_request_times_out_with_structured_error() {
 }
 
 #[test]
+fn admission_wait_counts_against_timeout_ms() {
+    // One worker, so the gate is one permit wide, and every search sleeps
+    // 300 ms on its worker before it runs.
+    let service = Arc::new(BccService::new(ServiceConfig {
+        workers: 1,
+        cache_capacity: 0,
+        faults: vec!["worker_execute:delay300ms".into()],
+        ..ServiceConfig::default()
+    }));
+    service.registry().insert("g0", butterfly_graph());
+    let handle = start(&service, ServerConfig::default());
+    let permit = handle.admission().admit(Priority::Normal, None).unwrap();
+    let mut client = Client::connect(&handle, false);
+    client.send("search ql=l0 qr=r0 graph=g0 timeout_ms=400");
+    let queued_by = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while handle.admission().load().1 != 1 {
+        assert!(
+            std::time::Instant::now() < queued_by,
+            "the request never queued"
+        );
+        std::thread::yield_now();
+    }
+    // Release the permit 200 ms after the request queued: the search then
+    // needs 300 ms, more than the budget the wait left, though less than
+    // its whole `timeout_ms`.
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    drop(permit);
+    let response = client.recv().expect("response");
+    assert!(response.contains("\"error\":\"timeout\""), "{response}");
+    assert_eq!(
+        service.stats().admission_timeouts,
+        0,
+        "admitted before its deadline"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn quit_closes_only_the_issuing_tcp_session() {
-    let service = service_with_graphs(1);
+    let service = service_with_graphs(2, 1);
     let handle = start(&service, ServerConfig::default());
 
     let mut a = Client::connect(&handle, false);
@@ -286,7 +327,7 @@ fn quit_closes_only_the_issuing_tcp_session() {
 
 #[test]
 fn shutdown_line_closes_every_session_and_stops_accepting() {
-    let service = service_with_graphs(1);
+    let service = service_with_graphs(2, 1);
     let handle = start(&service, ServerConfig::default());
     let addr = handle.addr();
 
@@ -320,7 +361,7 @@ fn shutdown_line_closes_every_session_and_stops_accepting() {
 
 #[test]
 fn connection_limit_rejects_with_structured_error() {
-    let service = service_with_graphs(1);
+    let service = service_with_graphs(2, 1);
     let handle = start(
         &service,
         ServerConfig { max_connections: 2, ..ServerConfig::default() },
