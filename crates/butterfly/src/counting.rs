@@ -83,7 +83,7 @@ impl ButterflyCounts {
 
     /// [`ButterflyCounts::compute`] across up to `threads` workers (`0` =
     /// all cores, `≤ 1` = the sequential reference path): the chi vector is
-    /// split into disjoint [`COUNT_CHUNK`]-sized slices drained through an
+    /// split into disjoint `COUNT_CHUNK`-sized slices drained through an
     /// atomic cursor, each worker counting its vertices' wedges on its own
     /// [`WedgeScratch`]. Per-vertex χ is an independent exact computation
     /// into a disjoint output slot and the side maxima are folded afterward

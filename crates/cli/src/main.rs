@@ -101,8 +101,9 @@ Fault tolerance (serve/batch/listen): --fault <site>:<action>[:<from>[:<count>]]
 delay<N>ms; site is one of codec_decode (serve/listen: a session decoded a
 request), admission (listen: a query is about to ask the admission gate for
 a permit), worker_execute (a worker is about to run a search), scatter_pair
-(a scatter pair sub-query runs) or commit (a commit is about to apply the
-staged batch). A site the command never reaches is rejected. The
+(a scatter pair sub-query runs) or commit (a commit is about to publish the
+patched snapshot; the batch stays staged if it fails). A site the command
+never reaches is rejected. The
 Nth..N+count-1th matches at the site fire; everything else is untouched.
 Worker panics are contained (a structured `internal` error; the worker
 keeps serving). A scatter pair sub-query that fails internally is retried

@@ -124,26 +124,6 @@ pub fn cascade_label_core<G: GraphRead>(
     cascade_from(view, thresholds, seeds)
 }
 
-/// The Algorithm 4 cascade seeded from explicitly named *alive* vertices —
-/// the edge-granular entry point. When an edge `{u, v}` is deleted, only its
-/// endpoints can newly violate their label-core condition, so seeding the
-/// cascade with `[u, v]` maintains the label core without the full seed scan
-/// of [`reduce_to_label_core`]. Seeds that satisfy their condition (or are
-/// already dead) are simply skipped. Returns the vertices peeled, in
-/// deletion order.
-pub fn cascade_label_core_from_seeds<G: GraphRead>(
-    view: &mut GraphView<'_, G>,
-    thresholds: &LabelCoreThresholds,
-    seeds: &[VertexId],
-) -> Vec<VertexId> {
-    let seeds: Vec<VertexId> = seeds
-        .iter()
-        .copied()
-        .filter(|&v| view.is_alive(v) && violates(view, thresholds, v))
-        .collect();
-    cascade_from(view, thresholds, seeds)
-}
-
 fn cascade_from<G: GraphRead>(
     view: &mut GraphView<'_, G>,
     thresholds: &LabelCoreThresholds,
@@ -260,40 +240,6 @@ mod tests {
         let extra = cascade_label_core(&mut view, &thresholds, &[VertexId(1)]);
         assert_eq!(extra.len(), 4);
         assert_eq!(view.alive_count(), 4, "only the B clique remains");
-    }
-
-    #[test]
-    fn seeded_cascade_matches_full_seed_scan() {
-        // Delete the homogeneous edge {a0, a1}: the A 5-clique becomes a
-        // 5-cycle-ish graph whose members cannot sustain a 4-core. Seeding
-        // the cascade with just the edge endpoints must peel exactly what a
-        // full violation scan peels.
-        let g = two_cliques();
-        let shrunk = bcc_graph::apply_change(
-            &g,
-            &bcc_graph::EdgeChange {
-                u: VertexId(0),
-                v: VertexId(1),
-                op: bcc_graph::EdgeOp::Remove,
-            },
-        );
-        let mut thresholds = LabelCoreThresholds::new(g.label_count());
-        thresholds.require(g.label(VertexId(0)), 4);
-        thresholds.require(g.label(VertexId(5)), 3);
-
-        let mut seeded = GraphView::new(&shrunk);
-        let mut removed_seeded =
-            cascade_label_core_from_seeds(&mut seeded, &thresholds, &[VertexId(0), VertexId(1)]);
-        let mut scanned = GraphView::new(&shrunk);
-        let mut removed_scanned = reduce_to_label_core(&mut scanned, &thresholds);
-        removed_seeded.sort_unstable();
-        removed_scanned.sort_unstable();
-        assert_eq!(removed_seeded, removed_scanned);
-        assert_eq!(seeded.alive_count(), 4, "only the B clique survives");
-        // Satisfied or dead seeds are no-ops.
-        let extra =
-            cascade_label_core_from_seeds(&mut seeded, &thresholds, &[VertexId(0), VertexId(5)]);
-        assert!(extra.is_empty());
     }
 
     #[test]

@@ -42,8 +42,7 @@ pub use core_decomp::{
     label_core_decomposition_parallel, label_core_decomposition_view_parallel, max_coreness,
 };
 pub use core_maintain::{
-    cascade_label_core, cascade_label_core_from_seeds, reduce_to_k_core, reduce_to_label_core,
-    reduce_to_label_core_parallel,
+    cascade_label_core, reduce_to_k_core, reduce_to_label_core, reduce_to_label_core_parallel,
     LabelCoreThresholds,
 };
 pub use support::{triangle_supports, EdgeIndex};

@@ -302,7 +302,7 @@ fn bucket_push(buckets: &mut Vec<Vec<VertexId>>, slot: usize, v: VertexId) {
 /// workers relax their chunk's neighbors into private discovery buffers,
 /// which are then concatenated in chunk order, so even the internal frontier
 /// order is a pure function of the input. Levels smaller than
-/// [`PARALLEL_FRONTIER_MIN`] are expanded on the calling thread through the
+/// `PARALLEL_FRONTIER_MIN` are expanded on the calling thread through the
 /// same claim loop. `expand` / `merge` accumulate the two sub-spans the
 /// observability layer reports as `query_dist_expand` / `query_dist_merge`.
 pub fn bfs_distances_parallel(

@@ -259,3 +259,64 @@ fn staged_delta_replay_matches_batch_apply_and_rebuild() {
         assert_index_eq(&index, &BccIndex::build(&batch), &format!("(trial {trial} final)"));
     }
 }
+
+/// Stages `size` flips against `base`, most of them inside one label group
+/// (with probability `same`): homogeneous flips are the ones that move δ.
+fn same_label_biased_batch(
+    rng: &mut impl Rng,
+    base: &LabeledGraph,
+    size: usize,
+    same: f64,
+) -> GraphDelta {
+    let n = base.vertex_count() as u32;
+    let mut delta = GraphDelta::new();
+    while delta.len() < size {
+        let u = VertexId(rng.gen_range(0..n));
+        let v = VertexId(rng.gen_range(0..n));
+        let homogeneous = base.label(u) == base.label(v);
+        if u == v || homogeneous != rng.gen_bool(same) {
+            continue;
+        }
+        if delta.has_edge(base, u, v) {
+            delta.stage_remove(base, u, v).expect("staged-present edge removes cleanly");
+        } else {
+            delta.stage_insert(base, u, v).expect("staged-absent edge inserts cleanly");
+        }
+    }
+    delta
+}
+
+/// Commits a run of same-label-biased batches to one evolving graph. After
+/// every batch the patched index must equal a rebuild, and the batch's
+/// dirty set must hold every vertex whose δ or χ moved across it — a vertex
+/// missing from it would keep a stale cache entry.
+fn run_dense_batches(seed: u64, n: usize, labels: usize, p: f64) {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut graph = random_graph(&mut rng, n, labels, p);
+    let mut index = BccIndex::build(&graph);
+    assert!(index.delta_max >= 3, "seed {seed}: the fixture needs cores with k ≥ 3");
+    for batch in 0..10 {
+        let delta = same_label_biased_batch(&mut rng, &graph, 16, 0.8);
+        let before = index.clone();
+        let report = patch_index_batch(&mut index, &graph, delta.changes());
+        graph = delta.apply(&graph);
+        let rebuilt = BccIndex::build(&graph);
+        let context = format!("(seed {seed}, {labels} labels, batch {batch})");
+        assert_index_eq(&index, &rebuilt, &context);
+        for v in graph.vertices() {
+            let i = v.index();
+            if before.label_coreness[i] != rebuilt.label_coreness[i]
+                || before.butterfly_degree[i] != rebuilt.butterfly_degree[i]
+            {
+                assert!(report.dirty.contains(&v.0), "{v} moved but is not dirty {context}");
+            }
+        }
+    }
+}
+
+#[test]
+fn dense_same_label_batches_match_rebuild_and_dirty_covers_every_move() {
+    for seed in 0..9u64 {
+        run_dense_batches(800 + seed, 36, 2 + (seed % 3) as usize, 0.4);
+    }
+}

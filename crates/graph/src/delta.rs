@@ -5,9 +5,11 @@
 //! module closes the gap without giving up immutability: a [`GraphDelta`]
 //! *stages* validated edge inserts/deletes against a base snapshot, and
 //! [`GraphDelta::apply`] / [`apply_change`] splice them into a **new**
-//! snapshot in one linear merge pass over the CSR arrays (no re-sorting, no
-//! re-interning, no per-list dedup — the O(|E| log |E|) [`crate::GraphBuilder`]
-//! path is for initial construction only).
+//! snapshot in one linear pass over the CSR arrays: untouched vertices are
+//! block-copied run by run, and only the vertices a net change touches are
+//! merged (no re-sorting, no re-interning, no per-entry lookup — the
+//! O(|E| log |E|) [`crate::GraphBuilder`] path is for initial construction
+//! only).
 //!
 //! The vertex set is fixed: deltas mutate edges, not vertices. Staging is
 //! sequential and fully validated — a change is accepted only if it is
@@ -18,7 +20,7 @@
 //! Algorithm 7 delta is derived from one edge flip against the snapshot it
 //! applies to).
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
 use crate::graph::{LabeledGraph, VertexId};
 
@@ -177,19 +179,14 @@ impl GraphDelta {
     /// changes through a fresh [`crate::GraphBuilder`].
     pub fn apply(&self, graph: &LabeledGraph) -> LabeledGraph {
         // Reduce the overlay to the *net* difference against the base.
-        let mut inserts: FxHashMap<u32, Vec<VertexId>> = FxHashMap::default();
-        let mut removes: FxHashSet<(u32, u32)> = FxHashSet::default();
+        let mut net = Vec::new();
         for (&(a, b), &present) in &self.overlay {
-            let (u, v) = (VertexId(a), VertexId(b));
-            let base = graph.has_edge(u, v);
-            if present && !base {
-                inserts.entry(a).or_default().push(v);
-                inserts.entry(b).or_default().push(u);
-            } else if !present && base {
-                removes.insert((a, b));
+            if present != graph.has_edge(VertexId(a), VertexId(b)) {
+                net.push(NetChange { at: a, other: VertexId(b), insert: present });
+                net.push(NetChange { at: b, other: VertexId(a), insert: present });
             }
         }
-        splice(graph, &mut inserts, &removes)
+        splice(graph, net)
     }
 }
 
@@ -202,58 +199,69 @@ impl GraphDelta {
 /// present one); release builds trust the staging validation.
 pub fn apply_change(graph: &LabeledGraph, change: &EdgeChange) -> LabeledGraph {
     let (u, v) = (change.u, change.v);
-    let mut inserts: FxHashMap<u32, Vec<VertexId>> = FxHashMap::default();
-    let mut removes: FxHashSet<(u32, u32)> = FxHashSet::default();
-    match change.op {
-        EdgeOp::Insert => {
-            debug_assert!(!graph.has_edge(u, v), "insert of existing edge {{{u}, {v}}}");
-            inserts.insert(u.0, vec![v]);
-            inserts.insert(v.0, vec![u]);
-        }
-        EdgeOp::Remove => {
-            debug_assert!(graph.has_edge(u, v), "removal of missing edge {{{u}, {v}}}");
-            removes.insert(change.key());
-        }
-    }
-    splice(graph, &mut inserts, &removes)
+    let insert = change.op == EdgeOp::Insert;
+    debug_assert_eq!(
+        graph.has_edge(u, v),
+        !insert,
+        "{:?} of edge {{{u}, {v}}} does not apply",
+        change.op
+    );
+    splice(
+        graph,
+        vec![
+            NetChange { at: u.0, other: v, insert },
+            NetChange { at: v.0, other: u, insert },
+        ],
+    )
 }
 
-/// One linear pass over the CSR arrays: per vertex, merge the (sorted) old
-/// neighbor slice with its sorted insert list, skipping removed pairs.
-fn splice(
-    graph: &LabeledGraph,
-    inserts: &mut FxHashMap<u32, Vec<VertexId>>,
-    removes: &FxHashSet<(u32, u32)>,
-) -> LabeledGraph {
-    for list in inserts.values_mut() {
-        list.sort_unstable();
-    }
-    let (_, old_neighbors) = graph.raw_parts();
-    let net_inserted: usize = inserts.values().map(Vec::len).sum();
+/// One directed half of a net edge change: `other` enters or leaves `at`'s
+/// adjacency list.
+struct NetChange {
+    at: u32,
+    other: VertexId,
+    insert: bool,
+}
+
+/// One linear pass over the CSR arrays that touches only what changed: each
+/// run of untouched vertices is copied with one `extend_from_slice` (and
+/// its offsets shifted), and each touched vertex merges its sorted old
+/// neighbor slice with its sorted changes.
+fn splice(graph: &LabeledGraph, mut net: Vec<NetChange>) -> LabeledGraph {
+    net.sort_unstable_by_key(|c| (c.at, c.other));
+    let (old_offsets, old_neighbors) = graph.raw_parts();
+    let inserted = net.iter().filter(|c| c.insert).count();
     let n = graph.vertex_count();
     let mut offsets = Vec::with_capacity(n + 1);
-    let mut neighbors = Vec::with_capacity(old_neighbors.len() + net_inserted);
+    let mut neighbors = Vec::with_capacity(old_neighbors.len() + inserted);
     offsets.push(0usize);
-    let empty: &[VertexId] = &[];
-    for v in graph.vertices() {
-        let additions: &[VertexId] = inserts.get(&v.0).map_or(empty, Vec::as_slice);
-        let mut next = additions.iter().copied().peekable();
-        for &w in graph.neighbors(v) {
-            if removes.contains(&(v.0.min(w.0), v.0.max(w.0))) {
-                continue;
+    let mut touched = net.chunk_by(|a, b| a.at == b.at).peekable();
+    let mut next = 0usize; // first vertex not yet emitted
+    loop {
+        // The untouched vertices `next..at` go over as one block.
+        let at = touched.peek().map_or(n, |changes| changes[0].at as usize);
+        let (old_start, new_start) = (old_offsets[next], neighbors.len());
+        neighbors.extend_from_slice(&old_neighbors[old_start..old_offsets[at]]);
+        offsets.extend(old_offsets[next + 1..=at].iter().map(|&o| o - old_start + new_start));
+        let Some(changes) = touched.next() else { break };
+        let mut pending = changes.iter().peekable();
+        for &w in graph.neighbors(VertexId(at as u32)) {
+            while let Some(c) = pending.next_if(|c| c.other < w) {
+                debug_assert!(c.insert, "removal of missing edge {{{at}, {}}}", c.other);
+                neighbors.push(c.other);
             }
-            while let Some(&a) = next.peek() {
-                if a < w {
-                    neighbors.push(a);
-                    next.next();
-                } else {
-                    break;
-                }
+            if let Some(c) = pending.next_if(|c| c.other == w) {
+                debug_assert!(!c.insert, "insert of existing edge {{{at}, {w}}}");
+                continue;
             }
             neighbors.push(w);
         }
-        neighbors.extend(next);
+        neighbors.extend(pending.map(|c| {
+            debug_assert!(c.insert, "removal of missing edge {{{at}, {}}}", c.other);
+            c.other
+        }));
         offsets.push(neighbors.len());
+        next = at + 1;
     }
     let (labels, interner, names) = graph.clone_meta();
     LabeledGraph::from_parts(offsets, neighbors, labels, interner, names)

@@ -15,16 +15,15 @@
 //! * [`OverlayGraph`] — a base CSR plus copy-on-write adjacency lists: the
 //!   first flip touching a vertex copies its (typically short) neighbor
 //!   slice, subsequent flips binary-insert/remove into the copy, and every
-//!   read serves a plain sorted slice — overlay reads cost the same as CSR
-//!   reads, so the cascades run at full speed mid-batch. After a whole
+//!   read serves a plain sorted slice found through a dense per-vertex slot
+//!   table (no hashing) — overlay reads cost the same as CSR reads, so the
+//!   cascades run at full speed mid-batch. After a whole
 //!   batch of flips, [`OverlayGraph::materialize`] emits the final snapshot
 //!   in **one** linear pass.
 //!
 //! The contract, pinned by the differential suites: any read through
 //! [`GraphRead`] on an overlay equals the same read on the snapshot
 //! [`crate::apply_change`] would have produced.
-
-use rustc_hash::FxHashMap;
 
 use crate::delta::{EdgeChange, EdgeOp};
 use crate::graph::{LabeledGraph, VertexId};
@@ -133,20 +132,30 @@ impl GraphRead for LabeledGraph {
 /// (O(deg) worst case, O(1) amortized for sparse vertices) — never the
 /// O(|V| + |E|) CSR splice of [`crate::apply_change`]. Reads are plain
 /// sorted slices either way, so traversal over an overlay costs the same
-/// as over the base CSR.
+/// as over the base CSR. The one O(|V|) cost is the zeroed slot table
+/// [`OverlayGraph::new`] allocates.
 #[derive(Clone, Debug)]
 pub struct OverlayGraph<'g> {
     base: &'g LabeledGraph,
+    /// Dense slot table, one entry per vertex: 0 for an untouched vertex,
+    /// otherwise 1 + the index of its list in `lists` — so a read costs
+    /// one array load, never a hash probe.
+    slot: Vec<u32>,
     /// Copy-on-write full adjacency lists of the touched vertices, each
     /// sorted ascending.
-    adj: FxHashMap<u32, Vec<VertexId>>,
+    lists: Vec<Vec<VertexId>>,
     edge_count: usize,
 }
 
 impl<'g> OverlayGraph<'g> {
     /// An overlay with no staged flips: reads are exactly `base`.
     pub fn new(base: &'g LabeledGraph) -> Self {
-        OverlayGraph { base, adj: FxHashMap::default(), edge_count: base.edge_count() }
+        OverlayGraph {
+            base,
+            slot: vec![0; base.vertex_count()],
+            lists: Vec::new(),
+            edge_count: base.edge_count(),
+        }
     }
 
     /// An overlay with `changes` already applied, in order.
@@ -167,16 +176,16 @@ impl<'g> OverlayGraph<'g> {
     /// Number of vertices whose adjacency has been copied out of the base
     /// (an upper bound on how far the overlay has diverged).
     pub fn touched_vertices(&self) -> usize {
-        self.adj.len()
+        self.lists.len()
     }
 
     /// The current sorted neighbor list of `v` (copy-on-write list if `v`
     /// was touched, the base CSR slice otherwise).
     #[inline]
     pub fn neighbor_slice(&self, v: VertexId) -> &[VertexId] {
-        match self.adj.get(&v.0) {
-            Some(list) => list,
-            None => self.base.neighbors(v),
+        match self.slot[v.index()] {
+            0 => self.base.neighbors(v),
+            s => &self.lists[s as usize - 1],
         }
     }
 
@@ -211,8 +220,11 @@ impl<'g> OverlayGraph<'g> {
     /// Adds or drops `b` in `a`'s copy-on-write list, copying the base
     /// slice on first touch.
     fn patch_one(&mut self, a: VertexId, b: VertexId, insert: bool) {
-        let base = self.base;
-        let list = self.adj.entry(a.0).or_insert_with(|| base.neighbors(a).to_vec());
+        if self.slot[a.index()] == 0 {
+            self.lists.push(self.base.neighbors(a).to_vec());
+            self.slot[a.index()] = self.lists.len() as u32;
+        }
+        let list = &mut self.lists[self.slot[a.index()] as usize - 1];
         match list.binary_search(&b) {
             Ok(pos) if !insert => {
                 list.remove(pos);

@@ -64,8 +64,9 @@ pub enum FaultSite {
     WorkerExecute,
     /// A scatter pair sub-query is executing on the worker pool.
     ScatterPair,
-    /// A `commit` is about to apply the staged batch (an injected error
-    /// leaves the batch staged).
+    /// A `commit` patched the index and spliced the new snapshot and is
+    /// about to publish it. An injected error or panic leaves the old
+    /// generation live and the batch staged.
     Commit,
 }
 

@@ -25,6 +25,13 @@
 //! the same name between the commit's read and its write would otherwise be
 //! silently clobbered by the committed old-lineage snapshot. On mismatch
 //! the commit fails with a structured error and the new registration wins.
+//!
+//! The staged batch is consumed at publish, not before: a commit reads
+//! (clones) the batch, and only the publish removes it — and only if the
+//! slot still holds exactly the committed changes. A commit that fails or
+//! panics anywhere before the publish therefore leaves the old generation
+//! live and the batch staged for the next commit. Locks are always taken
+//! `pending` before `graphs`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -312,14 +319,29 @@ impl GraphRegistry {
     /// requests keep their `Arc` to the old snapshot; results they cache
     /// afterwards carry the dead generation and age out of the LRU.
     ///
+    /// Only a successful publish consumes the staged batch: a commit that
+    /// fails or panics before it leaves the batch staged for the next one.
+    ///
     /// Fails — dropping the committed snapshot — if `name` was re-registered
     /// between the commit's read of the entry and the publish: the live
     /// generation is re-checked under the write lock (see module docs).
     pub fn commit(&self, name: &str) -> Result<CommitOutcome, String> {
+        self.commit_with(name, || Ok(()))
+    }
+
+    /// [`Self::commit`] with a hook that runs after the patch and splice,
+    /// just before the publish — the one point where a commit can still
+    /// fail without tearing: an `Err` from the hook fails the commit and
+    /// leaves the batch staged.
+    pub(crate) fn commit_with(
+        &self,
+        name: &str,
+        before_publish: impl FnOnce() -> Result<(), String>,
+    ) -> Result<CommitOutcome, String> {
         let entry = self
             .get(name)
             .ok_or_else(|| format!("no graph registered as `{name}`"))?;
-        self.commit_entry(entry, || ())
+        self.commit_entry(entry, before_publish)
     }
 
     /// The commit body, parameterized for deterministic race tests: `entry`
@@ -329,9 +351,11 @@ impl GraphRegistry {
     fn commit_entry(
         &self,
         entry: Arc<GraphEntry>,
-        before_publish: impl FnOnce(),
+        before_publish: impl FnOnce() -> Result<(), String>,
     ) -> Result<CommitOutcome, String> {
         let name = entry.name();
+        // The batch is read here and consumed only at publish, so a commit
+        // that fails or panics in between leaves it staged.
         let staged = {
             let mut pending = lock_unpoisoned(&self.pending);
             let Some(slot) = pending.get(name) else {
@@ -361,9 +385,9 @@ impl GraphRegistry {
                      or committed concurrently); staged changes dropped"
                 ));
             }
-            pending.remove(name).expect("slot checked present under the lock")
+            slot.delta.clone()
         };
-        let applied = staged.delta.len();
+        let applied = staged.len();
         let old_generation = entry.generation();
         let (new_entry, dirty, time_overlay_apply, time_cascade, time_chi_delta) =
             match entry.index_if_built() {
@@ -375,13 +399,10 @@ impl GraphRegistry {
                     // materialization of the whole commit is the one merge
                     // pass below — no clone of the base graph either (the
                     // batch API borrows it).
-                    let report = bcc_core::patch_index_batch(
-                        &mut index,
-                        entry.graph(),
-                        staged.delta.changes(),
-                    );
+                    let report =
+                        bcc_core::patch_index_batch(&mut index, entry.graph(), staged.changes());
                     let apply_started = Instant::now();
-                    let graph = staged.delta.apply(entry.graph());
+                    let graph = staged.apply(entry.graph());
                     let time_overlay_apply = apply_started.elapsed();
                     let built = BuiltIndex {
                         index,
@@ -404,7 +425,7 @@ impl GraphRegistry {
                     // stay lazy. No cascade ran, so no scoped dirty set
                     // exists and the cascade/χ stage times are zero.
                     let apply_started = Instant::now();
-                    let graph = staged.delta.apply(entry.graph());
+                    let graph = staged.apply(entry.graph());
                     let time_overlay_apply = apply_started.elapsed();
                     let entry = GraphEntry::with_index_threads(
                         name.to_owned(),
@@ -414,18 +435,29 @@ impl GraphRegistry {
                     (Arc::new(entry), None, time_overlay_apply, Duration::ZERO, Duration::ZERO)
                 }
             };
-        before_publish();
+        before_publish()?;
+        // Lock order: `pending` before `graphs`, as above.
+        let mut pending = lock_unpoisoned(&self.pending);
         let mut graphs = self.graphs.write().unwrap();
-        match graphs.get(name) {
-            Some(live) if live.generation() == old_generation => {
-                graphs.insert(name.to_owned(), Arc::clone(&new_entry));
+        if graphs.get(name).map(|live| live.generation()) != Some(old_generation) {
+            // The batch's snapshot is dead, so its slot can never apply:
+            // drop it, as the next commit or stage would.
+            if pending.get(name).is_some_and(|slot| slot.generation == old_generation) {
+                pending.remove(name);
             }
-            _ => {
-                return Err(format!(
-                    "graph `{name}` moved to a new snapshot during commit (re-registered \
-                     or committed concurrently); committed snapshot discarded"
-                ));
-            }
+            return Err(format!(
+                "graph `{name}` moved to a new snapshot during commit (re-registered \
+                 or committed concurrently); committed snapshot discarded"
+            ));
+        }
+        graphs.insert(name.to_owned(), Arc::clone(&new_entry));
+        // Consume the slot only if it still holds exactly this batch. One
+        // that grew meanwhile stays, pinned to the generation just
+        // replaced, and the next commit drops it.
+        if pending.get(name).is_some_and(|slot| {
+            slot.generation == old_generation && slot.delta.changes() == staged.changes()
+        }) {
+            pending.remove(name);
         }
         Ok(CommitOutcome {
             entry: new_entry,
@@ -596,6 +628,7 @@ mod tests {
                 })
                 .join()
                 .expect("re-registration thread");
+                Ok(())
             })
             .unwrap_err();
         assert!(err.contains("moved to a new snapshot during commit"), "{err}");
@@ -623,7 +656,7 @@ mod tests {
         let fresh = reg.insert("g", tiny_graph());
         reg.stage_edge(&fresh, bcc_graph::VertexId(0), bcc_graph::VertexId(1), false).unwrap();
 
-        let err = reg.commit_entry(Arc::clone(&stale), || ()).unwrap_err();
+        let err = reg.commit_entry(Arc::clone(&stale), || Ok(())).unwrap_err();
         assert!(err.contains("re-registered before commit"), "{err}");
         assert_eq!(reg.pending_len("g"), 1, "the new lineage's batch survives");
         // The rightful owner commits it cleanly.
@@ -636,6 +669,52 @@ mod tests {
         let stale2 = reg.insert("g", tiny_graph());
         reg.stage_edge(&stale2, bcc_graph::VertexId(0), bcc_graph::VertexId(1), false).unwrap();
         reg.insert("g", tiny_graph());
+        let err = reg.commit("g").unwrap_err();
+        assert!(err.contains("staged changes dropped"), "{err}");
+        assert_eq!(reg.pending_len("g"), 0);
+    }
+
+    #[test]
+    fn a_commit_that_panics_before_publish_leaves_the_batch_staged() {
+        let reg = GraphRegistry::new();
+        let entry = reg.insert("g", tiny_graph());
+        entry.index(); // patched path
+        reg.stage_edge(&entry, VertexId(0), VertexId(1), false).unwrap();
+        let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.commit_entry(Arc::clone(&entry), || panic!("fault before publish"))
+        }));
+        assert!(torn.is_err(), "the hook's panic unwinds out of the commit");
+        let live = reg.get("g").unwrap();
+        assert_eq!(live.generation(), entry.generation(), "the old generation stays live");
+        assert_eq!(live.graph().edge_count(), 1);
+        assert_eq!(reg.pending_len("g"), 1, "the batch stays staged");
+        let outcome = reg.commit("g").unwrap();
+        assert_eq!(outcome.applied, 1);
+        assert_eq!(outcome.entry.graph().edge_count(), 0);
+        assert_eq!(reg.pending_len("g"), 0, "a published commit consumes the batch");
+    }
+
+    #[test]
+    fn a_batch_that_grew_during_the_commit_is_left_for_the_next_commit() {
+        // Staging against the committing snapshot while the commit runs:
+        // the commit publishes the batch it read, and the grown slot stays
+        // pinned to the replaced generation, so the next commit drops it.
+        let reg = GraphRegistry::new();
+        let mut b = GraphBuilder::new();
+        let x = b.add_vertex("A");
+        let y = b.add_vertex("B");
+        let z = b.add_vertex("B");
+        b.add_edge(x, y);
+        let entry = reg.insert("g", b.build());
+        reg.stage_edge(&entry, x, y, false).unwrap();
+        let outcome = reg
+            .commit_entry(Arc::clone(&entry), || {
+                reg.stage_edge(&entry, x, z, true).map(|_| ())
+            })
+            .unwrap();
+        assert_eq!(outcome.applied, 1);
+        assert_eq!(outcome.entry.graph().edge_count(), 0);
+        assert_eq!(reg.pending_len("g"), 2, "the grown slot is not consumed");
         let err = reg.commit("g").unwrap_err();
         assert!(err.contains("staged changes dropped"), "{err}");
         assert_eq!(reg.pending_len("g"), 0);

@@ -782,20 +782,28 @@ impl BccService {
                 }
             }
             MutateOp::Commit => {
-                // The commit fault site, at commit entry: an injected error
-                // leaves the staged batch intact (the commit never ran).
-                if self.faults.perturb(FaultSite::Commit) {
-                    self.metrics.mutate_errors.inc();
-                    return MutateResponse {
-                        op,
-                        graph: graph_name,
-                        outcome: Err(RequestError {
-                            kind: ErrorKind::Internal,
-                            message: "injected fault at commit".into(),
-                        }),
-                    };
-                }
-                match self.registry.commit(&graph_name) {
+                // The commit fault site, just before the publish (after the
+                // index patch and the splice): the last point where a commit
+                // can fail. An injected error or panic there leaves the old
+                // generation live and the batch staged.
+                let mut injected = false;
+                let committed = self.registry.commit_with(&graph_name, || {
+                    injected = self.faults.perturb(FaultSite::Commit);
+                    if injected {
+                        Err("injected fault at commit".into())
+                    } else {
+                        Ok(())
+                    }
+                });
+                match committed {
+                    Err(message) if injected => {
+                        self.metrics.mutate_errors.inc();
+                        MutateResponse {
+                            op,
+                            graph: graph_name,
+                            outcome: Err(RequestError { kind: ErrorKind::Internal, message }),
+                        }
+                    }
                     Ok(outcome) => {
                         // Commit-stage phase telemetry: the registry timed the
                         // overlay apply and the per-batch cascade/χ work; the
@@ -1700,6 +1708,31 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.mutate_errors, 1);
         assert_eq!(stats.commits, 1);
+    }
+
+    /// The fault site sits just before the publish: an injected panic or
+    /// error there fails that commit only — the old generation stays live,
+    /// the whole batch stays staged, and the next commit applies it.
+    #[test]
+    fn commit_fault_before_publish_keeps_the_batch_staged() {
+        for spec in ["commit:panic:1:1", "commit:error:1:1"] {
+            let service = service_with_faults(&[spec]);
+            service.process_line("add_edge u=l3 v=r3");
+            service.process_line("remove_edge u=l0 v=r1");
+            let before = service.registry().get("default").unwrap().generation();
+            let LineOutcome::Output(failed) = service.process_line("commit") else { panic!() };
+            assert!(failed.contains("\"error\":\"internal\""), "{spec}: {failed}");
+            assert!(failed.contains("at commit"), "{spec}: {failed}");
+            let live = service.registry().get("default").unwrap();
+            assert_eq!(live.generation(), before, "{spec}: the old generation stays live");
+            assert_eq!(service.registry().pending_len("default"), 2, "{spec}");
+            let LineOutcome::Output(committed) = service.process_line("commit") else { panic!() };
+            assert!(committed.contains("\"ok\":true"), "{spec}: {committed}");
+            assert!(committed.contains("\"applied\":2"), "{spec}: {committed}");
+            assert!(committed.contains("\"edges\":16"), "{spec}: {committed}");
+            let stats = service.stats();
+            assert_eq!((stats.mutate_errors, stats.commits, stats.faults_injected), (1, 1, 1));
+        }
     }
 
     /// Three labeled 4-cliques chained A–B–C by butterflies (the
