@@ -22,9 +22,6 @@
 //! * N-client throughput ≥ 1-client throughput (SKIPPED on single-core
 //!   machines, where concurrency cannot help);
 //! * metrics-on throughput within 5% of metrics-off (same SKIP rule);
-//! * the query-thread sweep — the same single-client workload forced to
-//!   method=online with `query_threads` 1 vs 0 (all cores) — must run
-//!   strictly faster parallel than sequential (same SKIP rule);
 //! * the chaos phase — a canned fault plan panics the first four pool
 //!   executions — must surface each injected panic as a structured
 //!   internal error and then serve the whole workload on a full-width
@@ -140,7 +137,6 @@ fn run_phase(
     graph: &bcc_graph::LabeledGraph,
     client_lines: &[Vec<String>],
     metrics: bool,
-    query_threads: usize,
     faults: &[String],
 ) -> BenchPhase {
     let service = Arc::new(BccService::with_graph(
@@ -148,7 +144,6 @@ fn run_phase(
             workers: 0,
             cache_capacity: 4096,
             metrics,
-            query_threads,
             faults: faults.to_vec(),
             ..Default::default()
         },
@@ -224,33 +219,17 @@ fn main() {
     let total: usize = all_lines.iter().map(Vec::len).sum();
     eprintln!("workload: {clients} clients, {total} distinct query lines total");
 
-    let single = run_phase("1 client", &net.graph, &all_lines[..1], true, 1, &[]);
+    let single = run_phase("1 client", &net.graph, &all_lines[..1], true, &[]);
     // Same N-client workload twice: metrics tier off (the baseline), then
     // on — the pair the ≤5% overhead gate compares.
-    let multi_off = run_phase("N clients, metrics off", &net.graph, &all_lines, false, 1, &[]);
-    let multi = run_phase("N clients", &net.graph, &all_lines, true, 1, &[]);
+    let multi_off = run_phase("N clients, metrics off", &net.graph, &all_lines, false, &[]);
+    let multi = run_phase("N clients", &net.graph, &all_lines, true, &[]);
     // The same workload with a fault plan armed but never firing (the
     // selected match is astronomically far away): the injection hooks on
     // the hot path must cost nothing measurable — the ≤2% gate below.
     let armed_plan = vec!["worker_execute:panic:1000000000".to_string()];
     let multi_armed =
-        run_phase("N clients, faults armed", &net.graph, &all_lines, true, 1, &armed_plan);
-
-    // Query-thread sweep: one client, the whole workload, with the stages
-    // *inside* each search sequential vs parallel (`--query-threads 0` ⇒
-    // all cores). Online-method queries carry the most intra-query work
-    // (full BFS + full recount per peel iteration), so the sweep forces
-    // every line to method=online — the fairest surface for the knob.
-    let sweep_lines: Vec<Vec<String>> = vec![all_lines
-        .iter()
-        .flatten()
-        .map(|l| {
-            let base = l.split(" method=").next().unwrap_or(l);
-            format!("{base} method=online")
-        })
-        .collect()];
-    let qt_seq = run_phase("1 client, query-threads 1", &net.graph, &sweep_lines, true, 1, &[]);
-    let qt_par = run_phase("1 client, query-threads 0", &net.graph, &sweep_lines, true, 0, &[]);
+        run_phase("N clients, faults armed", &net.graph, &all_lines, true, &armed_plan);
 
     // Overload phase: a depth-0 queue whose only slot is held externally —
     // every request must be rejected, structurally, immediately.
@@ -363,7 +342,7 @@ fn main() {
             "p99 ms".into(),
         ],
     );
-    for phase in [&single, &multi_off, &multi, &multi_armed, &qt_seq, &qt_par] {
+    for phase in [&single, &multi_off, &multi, &multi_armed] {
         table.push_row(vec![
             phase.label.clone(),
             phase.clients.to_string(),
@@ -454,30 +433,10 @@ fn main() {
             (multi_armed.qps / multi.qps - 1.0) * 100.0
         );
     }
-    if cores < 2 {
-        println!(
-            "query-thread gate SKIPPED: {cores} core(s) available — intra-query \
-             workers cannot beat the sequential path without parallelism"
-        );
-    } else {
-        assert!(
-            qt_par.qps > qt_seq.qps,
-            "INVARIANT VIOLATED: query-threads 0 throughput ({:.0} q/s) did not \
-             beat query-threads 1 ({:.0} q/s) on a {cores}-core machine",
-            qt_par.qps,
-            qt_seq.qps
-        );
-        println!(
-            "query threads: parallel {:.0} q/s vs sequential {:.0} q/s ({:.2}x)",
-            qt_par.qps,
-            qt_seq.qps,
-            qt_par.qps / qt_seq.qps
-        );
-    }
     if let Some(path) = out_path {
         std::fs::write(
             &path,
-            summary_json(&table, &single, &multi_off, &multi, &multi_armed, &qt_seq, &qt_par, cores),
+            summary_json(&table, &single, &multi_off, &multi, &multi_armed),
         )
         .expect("write JSON summary");
         eprintln!("wrote JSON summary to {path}");
@@ -491,16 +450,12 @@ fn main() {
 /// The JSON summary: the rendered table plus, for each phase, the
 /// histogram-derived latency quantiles and (metrics-on phases) the
 /// server-side per-engine-phase breakdown.
-#[allow(clippy::too_many_arguments)]
 fn summary_json(
     table: &Table,
     single: &BenchPhase,
     multi_off: &BenchPhase,
     multi: &BenchPhase,
     multi_armed: &BenchPhase,
-    qt_seq: &BenchPhase,
-    qt_par: &BenchPhase,
-    cores: usize,
 ) -> String {
     let hist = |snap: &HistogramSnapshot| {
         format!(
@@ -528,16 +483,11 @@ fn summary_json(
     };
     format!(
         "{{\"table\":{},\"phases\":{{\"single\":{},\"multi_metrics_off\":{},\"multi\":{},\
-         \"multi_faults_armed\":{}}},\
-         \"query_thread_sweep\":{{\"cores\":{cores},\"sequential\":{},\"parallel\":{},\
-         \"speedup\":{:.3}}}}}\n",
+         \"multi_faults_armed\":{}}}}}\n",
         table.to_json(),
         phase_json(single),
         phase_json(multi_off),
         phase_json(multi),
         phase_json(multi_armed),
-        phase_json(qt_seq),
-        phase_json(qt_par),
-        qt_par.qps / qt_seq.qps.max(1e-9),
     )
 }

@@ -25,18 +25,10 @@
 //! unchanged on a CSR snapshot, a peeling [`bcc_graph::GraphView`], or a
 //! mid-batch [`bcc_graph::OverlayGraph`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use bcc_graph::{GraphRead, GraphView, Label, VertexId, WedgeScratch};
 use rustc_hash::FxHashMap;
 
 use crate::bipartite::BipartiteCross;
-
-/// Vertices handed to one parallel counting worker per claim of the atomic
-/// cursor — mirrors the offline build's χ chunking: small enough that
-/// skewed wedge costs balance, large enough that the cursor is uncontended.
-const COUNT_CHUNK: usize = 256;
 
 /// `C(c, 2)` in u64.
 #[inline]
@@ -63,82 +55,6 @@ impl ButterflyCounts {
     /// `cross.right` inside `view`.
     pub fn compute(view: &GraphView<'_>, cross: BipartiteCross) -> Self {
         let chi = butterfly_degrees(view, cross);
-        let (mut max_left, mut max_right) = (0u64, 0u64);
-        let graph = view.graph();
-        for v in view.alive_vertices() {
-            let label = graph.label(v);
-            if label == cross.left {
-                max_left = max_left.max(chi[v.index()]);
-            } else if label == cross.right {
-                max_right = max_right.max(chi[v.index()]);
-            }
-        }
-        ButterflyCounts {
-            cross,
-            chi,
-            max_left,
-            max_right,
-        }
-    }
-
-    /// [`ButterflyCounts::compute`] across up to `threads` workers (`0` =
-    /// all cores, `≤ 1` = the sequential reference path): the chi vector is
-    /// split into disjoint `COUNT_CHUNK`-sized slices drained through an
-    /// atomic cursor, each worker counting its vertices' wedges on its own
-    /// [`WedgeScratch`]. Per-vertex χ is an independent exact computation
-    /// into a disjoint output slot and the side maxima are folded afterward
-    /// in ascending vertex order, so any thread count produces **the same
-    /// counts bit for bit** (pinned by tests and the service differential
-    /// suite).
-    pub fn compute_with_threads(
-        view: &GraphView<'_>,
-        cross: BipartiteCross,
-        threads: usize,
-    ) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        let n = view.graph().vertex_count();
-        if threads <= 1 || n <= COUNT_CHUNK {
-            return Self::compute(view, cross);
-        }
-        let mut chi = vec![0u64; n];
-        // Each chunk slot is claimed by exactly one worker (the cursor never
-        // hands an index out twice); the Mutex<Option<..>> expresses that
-        // ownership transfer safely.
-        let chunks: Vec<Mutex<Option<&mut [u64]>>> =
-            chi.chunks_mut(COUNT_CHUNK).map(|c| Mutex::new(Some(c))).collect();
-        let cursor = AtomicUsize::new(0);
-        let tasks = chunks.len();
-        let workers = threads.min(tasks);
-        let worker = || {
-            let mut scratch = WedgeScratch::new(n);
-            loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= tasks {
-                    break;
-                }
-                let slice =
-                    chunks[idx].lock().unwrap().take().expect("chunk claimed exactly once");
-                let start = idx * COUNT_CHUNK;
-                for (off, out) in slice.iter_mut().enumerate() {
-                    let v = VertexId((start + off) as u32);
-                    // Dead vertices have no live neighbors and off-side
-                    // vertices are rejected by the kernel — both yield 0,
-                    // matching the sequential pass that skips them.
-                    *out = butterfly_degree_of_with(view, cross, v, &mut scratch);
-                }
-            }
-        };
-        std::thread::scope(|s| {
-            for _ in 1..workers {
-                s.spawn(worker);
-            }
-            worker();
-        });
-        drop(chunks);
         let (mut max_left, mut max_right) = (0u64, 0u64);
         let graph = view.graph();
         for v in view.alive_vertices() {
@@ -476,42 +392,6 @@ mod tests {
                     "trial {trial}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_compute_is_bit_identical_at_every_thread_count() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xB1F);
-        // Big enough to clear the COUNT_CHUNK sequential shortcut, with a
-        // third label the cross-graph must ignore and a scatter of deletions.
-        let mut b = GraphBuilder::new();
-        let left: Vec<_> = (0..260).map(|_| b.add_vertex("L")).collect();
-        let right: Vec<_> = (0..260).map(|_| b.add_vertex("R")).collect();
-        let other: Vec<_> = (0..60).map(|_| b.add_vertex("Z")).collect();
-        for &l in &left {
-            for &r in &right {
-                if rng.gen_bool(0.02) {
-                    b.add_edge(l, r);
-                }
-            }
-        }
-        for (i, &z) in other.iter().enumerate() {
-            b.add_edge(z, left[i % left.len()]);
-            b.add_edge(z, right[(i * 7) % right.len()]);
-        }
-        let g = b.build();
-        let mut view = GraphView::new(&g);
-        for i in (0..g.vertex_count() as u32).step_by(11) {
-            view.remove_vertex(VertexId(i));
-        }
-        let cross = cross_of(&g);
-        let reference = ButterflyCounts::compute(&view, cross);
-        for threads in [1usize, 2, 3, 7, 0] {
-            let par = ButterflyCounts::compute_with_threads(&view, cross, threads);
-            assert_eq!(par.chi, reference.chi, "threads {threads}");
-            assert_eq!(par.max_left, reference.max_left, "threads {threads}");
-            assert_eq!(par.max_right, reference.max_right, "threads {threads}");
         }
     }
 

@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! bcc stats    <graph-file>
-//! bcc search   <graph-file> --ql <name|id> --qr <name|id> [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p] [--query-threads N]
-//! bcc msearch  <graph-file> --q <name|id> --q <name|id> --q ... [--k N] [--b N] [--method online|lp|l2p] [--query-threads N]
-//! bcc serve    <graph-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N]
+//! bcc search   <graph-file> --ql <name|id> --qr <name|id> [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p]
+//! bcc msearch  <graph-file> --q <name|id> --q <name|id> --q ... [--k N] [--b N] [--method online|lp|l2p]
+//! bcc serve    <graph-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N]
 //! bcc listen   <graph-file> <addr> [--max-conns N] [--queue-depth N] [--timeout-ms N]
-//! bcc batch    <graph-file> <queries-file> [--workers N] [--cache N] [--name NAME] [--index-threads N] [--query-threads N]
+//! bcc batch    <graph-file> <queries-file> [--workers N] [--cache N] [--name NAME] [--index-threads N]
 //! bcc generate <output-file> [--network baidu1|baidu2|amazon|dblp|youtube|livejournal|orkut] [--scale F]
 //! bcc case     <flight|trade|fiction|academic> [--out FILE]
 //! ```
@@ -46,11 +46,11 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   bcc stats    <graph-file>
-  bcc search   <graph-file> --ql <name|id> --qr <name|id> [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p] [--index-threads N] [--query-threads N]
-  bcc msearch  <graph-file> --q <name|id> --q <name|id> [--q ...] [--k N] [--b N] [--method online|lp|l2p] [--index-threads N] [--query-threads N]
-  bcc serve    <graph-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N] [--no-metrics] [--slow-query-ms N] [--fault SPEC]...
+  bcc search   <graph-file> --ql <name|id> --qr <name|id> [--k1 N] [--k2 N] [--b N] [--method online|lp|l2p] [--index-threads N]
+  bcc msearch  <graph-file> --q <name|id> --q <name|id> [--q ...] [--k N] [--b N] [--method online|lp|l2p] [--index-threads N]
+  bcc serve    <graph-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--no-metrics] [--slow-query-ms N] [--fault SPEC]...
   bcc listen   <graph-file> <addr> [--max-conns N] [--queue-depth N] [--timeout-ms N] [--metrics-addr ADDR] [serve flags]
-  bcc batch    <graph-file> <queries-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--query-threads N] [--no-metrics] [--slow-query-ms N] [--fault SPEC]...
+  bcc batch    <graph-file> <queries-file> [--workers N] [--cache N] [--cache-weight-cap N] [--name NAME] [--index-threads N] [--no-metrics] [--slow-query-ms N] [--fault SPEC]...
   bcc generate <output-file> [--network dblp] [--scale 1.0]
   bcc case     <flight|trade|fiction|academic> [--out FILE]
 
@@ -59,19 +59,13 @@ core). Defaults: 0 for serve/batch (the build amortizes across a session),
 1 for one-shot search/msearch (a single query does not grab every core
 unasked). The produced index is bit-identical at any setting.
 
---query-threads parallelizes the stages *inside* each search — BFS query
-distances, label-core reduction, butterfly recounts (0 = one thread per
-core). The default, 1, runs each search sequentially on one thread; the
-serving commands already run queries side by side on their workers.
-Results and responses are bit-identical at any setting.
-
 --workers sizes the serving commands' one worker pool (0 = one thread per
 core, the default). An `msearch` of more than two vertices submits its
 label-pair sub-queries to the pool next to the full multi-label search and
 gathers them into one response — responses stay byte-identical at any
 worker count. --cache-weight-cap bounds the result cache by total community
-members instead of entry count (0 = entry-count only). The serving commands
-reject any flag they do not know.
+members instead of entry count (0 = entry-count only). Every command
+rejects a flag it does not know.
 
 serve reads `search ql=<v> qr=<v> [k1=N] [k2=N] [b=N] [method=...]` /
 `msearch q=<v>,<v>,...` / `add_edge u=<v> v=<v>` / `remove_edge u=<v> v=<v>` /
@@ -141,15 +135,21 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// `search`'s value flags.
+const SEARCH_FLAGS: [&str; 7] =
+    ["--ql", "--qr", "--k1", "--k2", "--b", "--method", "--index-threads"];
+
+/// `msearch`'s value flags.
+const MSEARCH_FLAGS: [&str; 5] = ["--q", "--k", "--b", "--method", "--index-threads"];
+
 /// The value flags every serving command (`serve`, `batch`, `listen`)
 /// accepts; `--no-metrics` is their one bare flag.
-const SERVICE_FLAGS: [&str; 8] = [
+const SERVICE_FLAGS: [&str; 7] = [
     "--workers",
     "--cache",
     "--cache-weight-cap",
     "--name",
     "--index-threads",
-    "--query-threads",
     "--slow-query-ms",
     "--fault",
 ];
@@ -157,16 +157,16 @@ const SERVICE_FLAGS: [&str; 8] = [
 /// `listen`'s own value flags, on top of [`SERVICE_FLAGS`].
 const LISTEN_FLAGS: [&str; 4] = ["--max-conns", "--queue-depth", "--timeout-ms", "--metrics-addr"];
 
-/// Rejects a serving command's `--flag` that is neither a service flag nor
-/// in `extra`, and a value flag with no value after it. Positional
-/// arguments pass, and so does the value after each known flag.
-fn check_flags(args: &[String], extra: &[&str]) -> Result<(), String> {
+/// Rejects a `--flag` that is in neither `values` nor `bare`, and a value
+/// flag with no value after it. Positional arguments pass, and so does the
+/// value after each known flag.
+fn check_flags(args: &[String], values: &[&str], bare: &[&str]) -> Result<(), String> {
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
-        if !arg.starts_with("--") || arg == "--no-metrics" {
+        if !arg.starts_with("--") || bare.contains(&arg.as_str()) {
             continue;
         }
-        if !SERVICE_FLAGS.contains(&arg.as_str()) && !extra.contains(&arg.as_str()) {
+        if !values.contains(&arg.as_str()) {
             return Err(format!("unknown flag `{arg}` for `{}`", args[0]));
         }
         if rest.next().is_none() {
@@ -189,19 +189,6 @@ fn index_threads(args: &[String], default: usize) -> Result<usize, String> {
         .map(|t| t.unwrap_or(default))
 }
 
-/// The shared `--query-threads` knob (0 ⇒ one per available core): how many
-/// workers each search's internal stages (BFS distances, label-core
-/// reduction, butterfly recounts) use. Results are bit-identical at any
-/// setting. Defaults to 1 everywhere: the serving commands already
-/// parallelize *across* queries, and a one-shot search should not grab
-/// every core unasked.
-fn query_threads(args: &[String]) -> Result<usize, String> {
-    flag_value(args, "--query-threads")
-        .map(|t| t.parse().map_err(|_| "--query-threads must be an integer".to_string()))
-        .transpose()
-        .map(|t| t.unwrap_or(1))
-}
-
 fn load(args: &[String]) -> Result<LabeledGraph, String> {
     let path = args.get(1).ok_or("missing graph file")?;
     bcc_graph::io::read_graph_file(path).map_err(|e| e.to_string())
@@ -222,6 +209,7 @@ fn resolve(graph: &LabeledGraph, token: &str) -> Result<VertexId, String> {
 }
 
 fn stats(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[], &[])?;
     let graph = load(args)?;
     let view = GraphView::new(&graph);
     println!("vertices : {}", graph.vertex_count());
@@ -237,6 +225,7 @@ fn stats(args: &[String]) -> Result<(), String> {
 }
 
 fn search(args: &[String]) -> Result<(), String> {
+    check_flags(args, &SEARCH_FLAGS, &[])?;
     let graph = load(args)?;
     let ql = resolve(&graph, flag_value(args, "--ql").ok_or("--ql required")?)?;
     let qr = resolve(&graph, flag_value(args, "--qr").ok_or("--qr required")?)?;
@@ -263,21 +252,16 @@ fn search(args: &[String]) -> Result<(), String> {
     // The BCindex is consulted only by l2p: build it lazily in that arm so
     // online/lp pay nothing, and report its (offline, amortizable) build
     // time separately from the search itself.
-    let qt = query_threads(args)?;
     let search_started = Instant::now();
     let result = match method {
-        "online" => bcc_core::OnlineBcc::default()
-            .with_query_threads(qt)
-            .search(&graph, &query, &params),
-        "lp" => LpBcc::default().with_query_threads(qt).search(&graph, &query, &params),
+        "online" => bcc_core::OnlineBcc::default().search(&graph, &query, &params),
+        "lp" => LpBcc::default().search(&graph, &query, &params),
         "l2p" => {
             let index_started = Instant::now();
             let index = BccIndex::build_with_threads(&graph, index_threads(args, 1)?);
             println!("index build   : {:?}", index_started.elapsed());
             let search_started = Instant::now();
-            let result = bcc_core::L2pBcc::default()
-                .with_query_threads(qt)
-                .search(&graph, &index, &query, &params);
+            let result = bcc_core::L2pBcc::default().search(&graph, &index, &query, &params);
             println!("search time   : {:?}", search_started.elapsed());
             result
         }
@@ -308,6 +292,7 @@ fn search(args: &[String]) -> Result<(), String> {
 }
 
 fn msearch(args: &[String]) -> Result<(), String> {
+    check_flags(args, &MSEARCH_FLAGS, &[])?;
     let graph = load(args)?;
     let tokens = flag_values(args, "--q");
     if tokens.len() < 2 {
@@ -344,7 +329,7 @@ fn msearch(args: &[String]) -> Result<(), String> {
         }
         _ => None,
     };
-    let searcher = MultiLabelBcc::with_strategy(strategy).with_query_threads(query_threads(args)?);
+    let searcher = MultiLabelBcc::with_strategy(strategy);
     let search_started = Instant::now();
     let result = searcher.search(&graph, index.as_ref(), &query, &params);
     println!("search time   : {:?}", search_started.elapsed());
@@ -431,8 +416,8 @@ fn start_service(args: &[String]) -> Result<BccService, String> {
             .map(|t| t.parse().map_err(|_| "--slow-query-ms must be an integer"))
             .transpose()?
             .unwrap_or(250),
-        query_threads: query_threads(args)?,
         faults: fault_specs(args)?,
+        ..ServiceConfig::default()
     };
     let service = BccService::with_graph(config, graph);
     // Banner on stderr: stdout carries only protocol responses.
@@ -453,7 +438,7 @@ fn start_service(args: &[String]) -> Result<BccService, String> {
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
-    check_flags(args, &[])?;
+    check_flags(args, &SERVICE_FLAGS, &["--no-metrics"])?;
     let service = start_service(args)?;
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -463,7 +448,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 }
 
 fn listen(args: &[String]) -> Result<(), String> {
-    check_flags(args, &LISTEN_FLAGS)?;
+    check_flags(args, &[&SERVICE_FLAGS[..], &LISTEN_FLAGS].concat(), &["--no-metrics"])?;
     // `listen <graph-file> <addr>`: the graph file rides in the same slot
     // as serve's, so `start_service` applies unchanged.
     let addr = args.get(2).ok_or("missing listen address (e.g. 127.0.0.1:7447)")?;
@@ -540,7 +525,7 @@ fn spawn_metrics_exporter(
 }
 
 fn batch(args: &[String]) -> Result<(), String> {
-    check_flags(args, &[])?;
+    check_flags(args, &SERVICE_FLAGS, &["--no-metrics"])?;
     let queries_path = args.get(2).ok_or("missing queries file")?;
     let lines: Vec<String> = std::fs::read_to_string(queries_path)
         .map_err(|e| format!("{queries_path}: {e}"))?
@@ -572,6 +557,7 @@ fn batch(args: &[String]) -> Result<(), String> {
 }
 
 fn generate(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--network", "--scale"], &[])?;
     let out = args.get(1).ok_or("missing output file")?;
     let network = flag_value(args, "--network").unwrap_or("dblp");
     let scale: f64 = flag_value(args, "--scale")
@@ -601,6 +587,7 @@ fn generate(args: &[String]) -> Result<(), String> {
 }
 
 fn case(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--out"], &[])?;
     let which = args.get(1).ok_or("missing case-study name")?;
     let graph = match which.as_str() {
         "flight" => bcc_datasets::flight_network(42),

@@ -1,5 +1,6 @@
 //! End-to-end test of `bcc serve` and `bcc batch`: spawn the real binary,
-//! drive a scripted stdin session, and check the response lines.
+//! drive a scripted stdin session, and check the response lines. Also pins
+//! that every command rejects a flag it does not know.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -226,14 +227,14 @@ fn serving_commands_reject_unknown_flags() {
     std::fs::write(&queries, "search ql=l0 qr=r0\n").expect("write queries");
     let queries = queries.to_str().expect("utf8 temp path");
 
-    // A removed flag and a typo of a known one: both are errors naming the
+    // Removed flags and a typo of a known one: all are errors naming the
     // flag, never silently ignored.
     for positional in [
         vec!["serve", graph],
         vec!["batch", graph, queries],
         vec!["listen", graph, "127.0.0.1:0"],
     ] {
-        for flag in ["--shards", "--wokers"] {
+        for flag in ["--shards", "--query-threads", "--wokers"] {
             let mut args = positional.clone();
             args.extend(["--workers", "2", flag, "2"]);
             let output = run_to_exit(&args);
@@ -260,6 +261,56 @@ fn serving_commands_reject_unknown_flags() {
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
     let stdout = String::from_utf8(output.stdout).expect("utf8 stdout");
     assert!(stdout.contains("\"ok\":true"), "{stdout}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_shot_commands_reject_unknown_flags() {
+    let dir = temp_dir("one-shot-flags");
+    let graph = graph_file(&dir);
+    let graph = graph.to_str().expect("utf8 temp path");
+    let out = dir.join("out.g");
+    let out = out.to_str().expect("utf8 temp path");
+
+    // `--k` is msearch's flag and `--query-threads` is gone: a search given
+    // either must fail naming it, not run with the flag dropped.
+    for (args, flag) in [
+        (vec!["search", graph, "--ql", "l0", "--qr", "r0", "--k", "3"], "--k"),
+        (
+            vec!["search", graph, "--ql", "l0", "--qr", "r0", "--query-threads", "2"],
+            "--query-threads",
+        ),
+        (vec!["msearch", graph, "--q", "l0", "--q", "r0", "--k1", "3"], "--k1"),
+        (vec!["stats", graph, "--bogus", "1"], "--bogus"),
+        (vec!["generate", out, "--scale", "0.01", "--bogus", "1"], "--bogus"),
+        (vec!["case", "flight", "--bogus", "1"], "--bogus"),
+    ] {
+        let output = run_to_exit(&args);
+        assert_eq!(output.status.code(), Some(1), "`{args:?}` must fail");
+        let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}` for `{}`", args[0])),
+            "`{args:?}` must name the flag: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new(out).exists(), "a rejected generate writes nothing");
+
+    // A value flag with nothing after it is an error too.
+    let output = run_to_exit(&["search", graph, "--ql", "l0", "--qr", "r0", "--b"]);
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8(output.stderr).expect("utf8 stderr");
+    assert!(stderr.contains("--b expects a value"), "{stderr}");
+
+    // Each command's own flags are still accepted.
+    for args in [
+        vec!["search", graph, "--ql", "l0", "--qr", "r0", "--k1", "3", "--method", "online"],
+        vec!["msearch", graph, "--q", "l0", "--q", "r0", "--k", "3", "--b", "1"],
+        vec!["stats", graph],
+    ] {
+        let output = run_to_exit(&args);
+        assert!(output.status.success(), "`{args:?}`: {}", String::from_utf8_lossy(&output.stderr));
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -342,30 +342,6 @@ pub fn label_core_decomposition_parallel<G: GraphRead + Sync>(g: &G, threads: us
     })
 }
 
-/// Same-label coreness of a (possibly partially deleted) [`GraphView`],
-/// peeled in parallel. This is the query-time entry point: `find_g0`'s
-/// label-core reduction filters the view by these core numbers instead of
-/// cascading removals one vertex at a time.
-pub fn label_core_decomposition_view_parallel<G: GraphRead + Sync>(
-    view: &GraphView<'_, G>,
-    threads: usize,
-) -> Vec<u32> {
-    let threads = resolve_threads(threads);
-    if threads <= 1 {
-        return label_core_decomposition(view);
-    }
-    let n = view.graph().vertex_count();
-    let alive: Vec<VertexId> = view.collect_vertices();
-    let degree: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    for &v in &alive {
-        // The view maintains intra-degree incrementally: O(1) per vertex.
-        degree[v.index()].store(view.intra_degree(v) as u32, Ordering::Relaxed);
-    }
-    peel_parallel(n, &alive, &degree, threads, |v, out| {
-        out.extend(view.same_label_neighbors(v))
-    })
-}
-
 /// Coreness of every alive vertex counting all live edges; dead vertices get
 /// coreness 0.
 pub fn core_decomposition<G: GraphRead>(view: &GraphView<'_, G>) -> Vec<u32> {
@@ -533,25 +509,6 @@ mod tests {
                     "n={n} threads={threads}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_view_label_core_matches_sequential_after_deletions() {
-        let g = random_graph(300, 3, 40, 0x5EED);
-        let mut view = GraphView::new(&g);
-        // Knock out a deterministic scatter of vertices so the view path is
-        // exercised on a genuinely partial graph.
-        for i in (0..300u32).step_by(7) {
-            view.remove_vertex(bcc_graph::VertexId(i));
-        }
-        let reference = label_core_decomposition(&view);
-        for threads in [1usize, 2, 3, 7, 0] {
-            assert_eq!(
-                label_core_decomposition_view_parallel(&view, threads),
-                reference,
-                "threads={threads}"
-            );
         }
     }
 

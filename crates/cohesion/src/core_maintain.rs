@@ -74,36 +74,6 @@ pub fn reduce_to_label_core<G: GraphRead>(
     cascade_from(view, thresholds, seeds)
 }
 
-/// Parallel variant of [`reduce_to_label_core`]: computes every alive
-/// vertex's label coreness with the level-synchronous parallel peel and then
-/// removes each vertex whose label is excluded or whose coreness falls short
-/// of its threshold.
-///
-/// This is equivalent to the sequential cascade because the label core is
-/// unique: a vertex survives the cascade iff its coreness within its own
-/// label group is ≥ the label's threshold, and [`GraphView`] state (alive
-/// set + live degree counters) depends only on the final alive set, never on
-/// removal order. Only the *order* of the returned removals differs —
-/// ascending vertex id here versus cascade discovery order.
-pub fn reduce_to_label_core_parallel<G: GraphRead + Sync>(
-    view: &mut GraphView<'_, G>,
-    thresholds: &LabelCoreThresholds,
-    threads: usize,
-) -> Vec<VertexId> {
-    let coreness = crate::label_core_decomposition_view_parallel(view, threads);
-    let doomed: Vec<VertexId> = view
-        .alive_vertices()
-        .filter(|&v| match thresholds.get(view.graph().label(v)) {
-            Some(k) => coreness[v.index()] < k,
-            None => true,
-        })
-        .collect();
-    for &v in &doomed {
-        view.remove_vertex(v);
-    }
-    doomed
-}
-
 /// After `removed` vertices were deleted externally (e.g. the farthest-vertex
 /// deletions of Algorithm 1 line 7), cascades the label-core conditions from
 /// the affected neighborhoods. Returns the additional vertices peeled.
@@ -264,54 +234,6 @@ mod tests {
         let removed2 = reduce_to_k_core(&mut view2, 4);
         assert_eq!(removed2.len(), 6);
         assert_eq!(view2.alive_count(), 0);
-    }
-
-    #[test]
-    fn parallel_label_core_reduction_matches_sequential() {
-        // xorshift64* random labeled graph, large enough to exercise the
-        // multi-worker peel (PARALLEL_FRONTIER_MIN in core_decomp).
-        let mut state = 0x9E37_79B9u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut b = GraphBuilder::new();
-        let n = 600u32;
-        for i in 0..n {
-            b.add_vertex(["A", "B", "C"][(i % 3) as usize]);
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if next() % 1000 < 20 {
-                    b.add_edge(VertexId(i), VertexId(j));
-                }
-            }
-        }
-        let g = b.build();
-        let mut thresholds = LabelCoreThresholds::new(g.label_count());
-        thresholds.require(g.label(VertexId(0)), 3); // A
-        thresholds.require(g.label(VertexId(1)), 2); // B — C excluded
-        let mut reference = GraphView::new(&g);
-        let mut removed_seq = reduce_to_label_core(&mut reference, &thresholds);
-        removed_seq.sort_unstable();
-        for threads in [1usize, 2, 3, 7, 0] {
-            let mut view = GraphView::new(&g);
-            let mut removed =
-                reduce_to_label_core_parallel(&mut view, &thresholds, threads);
-            removed.sort_unstable();
-            assert_eq!(removed, removed_seq, "threads={threads}");
-            assert_eq!(view.alive_set(), reference.alive_set(), "threads={threads}");
-            for v in view.alive_vertices() {
-                assert_eq!(view.degree(v), reference.degree(v), "threads={threads}");
-                assert_eq!(
-                    view.intra_degree(v),
-                    reference.intra_degree(v),
-                    "threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -39,11 +39,10 @@ pub mod truss;
 
 pub use core_decomp::{
     core_decomposition, label_core_decomposition, label_core_decomposition_direct,
-    label_core_decomposition_parallel, label_core_decomposition_view_parallel, max_coreness,
+    label_core_decomposition_parallel, max_coreness,
 };
 pub use core_maintain::{
-    cascade_label_core, reduce_to_k_core, reduce_to_label_core, reduce_to_label_core_parallel,
-    LabelCoreThresholds,
+    cascade_label_core, reduce_to_k_core, reduce_to_label_core, LabelCoreThresholds,
 };
 pub use support::{triangle_supports, EdgeIndex};
 pub use truss::{truss_decomposition, TrussState};

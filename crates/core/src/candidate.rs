@@ -37,18 +37,6 @@ pub struct Candidate<'g> {
     pub pair_alive: Vec<bool>,
     /// The alive set of `G_0`, kept for snapshot replay.
     pub g0_alive: BitSet,
-    /// Worker threads for butterfly recounts (1 = sequential reference).
-    pub query_threads: usize,
-}
-
-/// Resolves a thread-count knob: `0` means one worker per available core,
-/// anything else is taken literally (matching `BccIndex::build_with_threads`).
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
-    }
 }
 
 impl<'g> Candidate<'g> {
@@ -68,10 +56,9 @@ impl<'g> Candidate<'g> {
         Self::find_g0_in(GraphView::new(graph), query, params, stats)
     }
 
-    /// [`Candidate::find_g0`] with a query-thread knob: `threads > 1` (or 0,
-    /// meaning all cores) runs the label-core reduction and per-pair
-    /// butterfly counting on worker threads. Results are bit-identical to
-    /// the sequential reference at every thread count.
+    /// [`Candidate::find_g0`] behind the retired query-thread knob, kept
+    /// only for callers outside this workspace. Panics unless `threads == 1`.
+    #[deprecated(note = "use `find_g0`; ROADMAP item 1 deletes this shim")]
     pub fn find_g0_threaded(
         graph: &'g LabeledGraph,
         query: &MbccQuery,
@@ -79,32 +66,19 @@ impl<'g> Candidate<'g> {
         threads: usize,
         stats: &mut SearchStats,
     ) -> Result<(Self, Vec<ButterflyCounts>), SearchError> {
-        Self::find_g0_in_threaded(GraphView::new(graph), query, params, threads, stats)
+        assert_eq!(threads, 1, "find_g0_threaded: query stages run sequentially");
+        Self::find_g0(graph, query, params, stats)
     }
 
     /// [`Candidate::find_g0`] over a pre-restricted view — the entry point
     /// for the local exploration of Algorithm 8, which hands in a small
     /// candidate neighborhood instead of the whole graph.
     pub fn find_g0_in(
-        view: GraphView<'g>,
-        query: &MbccQuery,
-        params: &MbccParams,
-        stats: &mut SearchStats,
-    ) -> Result<(Self, Vec<ButterflyCounts>), SearchError> {
-        Self::find_g0_in_threaded(view, query, params, 1, stats)
-    }
-
-    /// [`Candidate::find_g0_in`] with the query-thread knob of
-    /// [`Candidate::find_g0_threaded`]. The candidate remembers the resolved
-    /// thread count and reuses it for every later [`Candidate::recount_pair`].
-    pub fn find_g0_in_threaded(
         mut view: GraphView<'g>,
         query: &MbccQuery,
         params: &MbccParams,
-        threads: usize,
         stats: &mut SearchStats,
     ) -> Result<(Self, Vec<ButterflyCounts>), SearchError> {
-        let threads = resolve_threads(threads);
         let graph = view.graph();
         let m = query.queries.len();
         if m < 2 {
@@ -132,18 +106,9 @@ impl<'g> Candidate<'g> {
         for (label, &k) in labels.iter().zip(&params.ks) {
             thresholds.require(*label, k);
         }
-        if threads > 1 {
-            // The parallel path computes the label coreness once (level-
-            // synchronous peel) and filters on it — same surviving set, same
-            // view counters, only the internal removal order differs.
-            timed(&mut stats.time_core_decomp, || {
-                bcc_cohesion::reduce_to_label_core_parallel(&mut view, &thresholds, threads)
-            });
-        } else {
-            timed(&mut stats.time_core_decomp, || {
-                bcc_cohesion::reduce_to_label_core(&mut view, &thresholds)
-            });
-        }
+        timed(&mut stats.time_core_decomp, || {
+            bcc_cohesion::reduce_to_label_core(&mut view, &thresholds)
+        });
         for &q in &query.queries {
             if !view.is_alive(q) {
                 return Err(SearchError::NoCandidate);
@@ -189,7 +154,7 @@ impl<'g> Candidate<'g> {
         for &(i, j) in &pairs {
             let cross = BipartiteCross::new(labels[i], labels[j]);
             let counts = timed(&mut stats.time_butterfly_counting, || {
-                ButterflyCounts::compute_with_threads(&view, cross, threads)
+                ButterflyCounts::compute(&view, cross)
             });
             stats.butterfly_countings += 1;
             pair_alive.push(counts.satisfies_leader_condition(params.b));
@@ -206,12 +171,25 @@ impl<'g> Candidate<'g> {
             pairs,
             pair_alive,
             g0_alive,
-            query_threads: threads,
         };
         if !candidate.cross_group_connected() {
             return Err(SearchError::NoCandidate);
         }
         Ok((candidate, pair_counts))
+    }
+
+    /// [`Candidate::find_g0_in`] behind the retired query-thread knob, kept
+    /// only for callers outside this workspace. Panics unless `threads == 1`.
+    #[deprecated(note = "use `find_g0_in`; ROADMAP item 1 deletes this shim")]
+    pub fn find_g0_in_threaded(
+        view: GraphView<'g>,
+        query: &MbccQuery,
+        params: &MbccParams,
+        threads: usize,
+        stats: &mut SearchStats,
+    ) -> Result<(Self, Vec<ButterflyCounts>), SearchError> {
+        assert_eq!(threads, 1, "find_g0_in_threaded: query stages run sequentially");
+        Self::find_g0_in(view, query, params, stats)
     }
 
     /// Definition 7 check: the label groups, linked by pairs with live
@@ -287,7 +265,7 @@ impl<'g> Candidate<'g> {
     pub fn recount_pair(&mut self, idx: usize, stats: &mut SearchStats) -> ButterflyCounts {
         let cross = self.cross_of(idx);
         let counts = timed(&mut stats.time_butterfly_counting, || {
-            ButterflyCounts::compute_with_threads(&self.view, cross, self.query_threads)
+            ButterflyCounts::compute(&self.view, cross)
         });
         stats.butterfly_countings += 1;
         self.pair_alive[idx] = self.pair_alive[idx] && counts.satisfies_leader_condition(self.b);
@@ -419,31 +397,6 @@ mod tests {
         assert_eq!(removed[0], VertexId(3), "the batch goes first, then its cascade");
         assert!(removed.iter().all(|&v| !candidate.view.is_alive(v)));
         assert_eq!(candidate.view.alive_count(), 4);
-    }
-
-    #[test]
-    fn find_g0_threaded_is_bit_identical_at_every_thread_count() {
-        let (g, query, params) = fixture();
-        let mut ref_stats = SearchStats::default();
-        let (reference, ref_counts) =
-            Candidate::find_g0(&g, &query, &params, &mut ref_stats).unwrap();
-        for threads in [1usize, 2, 3, 7, 0] {
-            let mut stats = SearchStats::default();
-            let (cand, counts) =
-                Candidate::find_g0_threaded(&g, &query, &params, threads, &mut stats).unwrap();
-            assert_eq!(
-                cand.view.alive_set(),
-                reference.view.alive_set(),
-                "threads={threads}"
-            );
-            assert_eq!(cand.pair_alive, reference.pair_alive, "threads={threads}");
-            assert_eq!(stats.butterfly_countings, ref_stats.butterfly_countings);
-            for (a, b) in counts.iter().zip(&ref_counts) {
-                assert_eq!(a.chi, b.chi, "threads={threads}");
-                assert_eq!(a.max_left, b.max_left, "threads={threads}");
-                assert_eq!(a.max_right, b.max_right, "threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -35,10 +35,6 @@ pub struct EngineConfig {
     pub leader_pairs: bool,
     /// Leader search radius ρ of Algorithm 6.
     pub leader_rho: u32,
-    /// Worker threads for the per-query stages (BFS distance recomputation
-    /// and butterfly recounts): `1` is the sequential reference path, `0`
-    /// means one worker per core. Any value produces bit-identical results.
-    pub query_threads: usize,
 }
 
 impl EngineConfig {
@@ -49,7 +45,6 @@ impl EngineConfig {
             fast_dist: false,
             leader_pairs: false,
             leader_rho: 3,
-            query_threads: 1,
         }
     }
 
@@ -60,14 +55,7 @@ impl EngineConfig {
             fast_dist: true,
             leader_pairs: true,
             leader_rho: 3,
-            query_threads: 1,
         }
-    }
-
-    /// Sets the query-thread knob (builder style).
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.query_threads = threads;
-        self
     }
 }
 
@@ -115,12 +103,7 @@ pub fn run_peel(
         stats.time_leader_update += start.elapsed();
     }
 
-    let mut dists = IncrementalDistances::compute_with_threads(
-        &candidate.view,
-        &queries,
-        config.query_threads,
-        stats,
-    );
+    let mut dists = IncrementalDistances::compute(&candidate.view, &queries, stats);
     let mut batches: Vec<Vec<VertexId>> = Vec::new();
     let mut snapshots: Vec<u32> = Vec::new();
 
@@ -131,12 +114,7 @@ pub fn run_peel(
             break;
         }
         if !config.fast_dist && !batches.is_empty() {
-            dists = IncrementalDistances::compute_with_threads(
-                &candidate.view,
-                &queries,
-                config.query_threads,
-                stats,
-            );
+            dists = IncrementalDistances::compute(&candidate.view, &queries, stats);
         }
         if !dists.queries_connected() {
             break;
@@ -248,11 +226,7 @@ pub fn run_peel(
     let mut best_chi: Vec<u64> = vec![0; candidate.labels.len()];
     for idx in 0..candidate.pairs.len() {
         let (i, j) = candidate.pairs[idx];
-        let counts = ButterflyCounts::compute_with_threads(
-            &community_view,
-            candidate.cross_of(idx),
-            config.query_threads,
-        );
+        let counts = ButterflyCounts::compute(&community_view, candidate.cross_of(idx));
         for (side, label) in [(i, candidate.labels[i]), (j, candidate.labels[j])] {
             if let Some(v) = counts.side_argmax(&community_view, label) {
                 if counts.chi(v) > best_chi[side] {
@@ -439,26 +413,6 @@ mod tests {
         assert!(a[..2].contains(&outcome.leaders[0]), "A leader {:?}", outcome.leaders);
         assert!(mid[..2].contains(&outcome.leaders[1]), "B leader {:?}", outcome.leaders);
         assert!(c[..2].contains(&outcome.leaders[2]), "C leader {:?}", outcome.leaders);
-    }
-
-    #[test]
-    fn peel_is_bit_identical_at_every_thread_count() {
-        let (g, query, params) = tailed_bcc();
-        for base in [EngineConfig::online(), EngineConfig::leader_pair()] {
-            let (reference, _) = run(&g, &query, &params, base);
-            for threads in [2usize, 3, 7, 0] {
-                let mut stats = SearchStats::default();
-                let (candidate, counts) =
-                    Candidate::find_g0_threaded(&g, &query, &params, threads, &mut stats).unwrap();
-                let outcome =
-                    run_peel(candidate, counts, base.with_query_threads(threads), &mut stats)
-                        .unwrap();
-                assert_eq!(outcome.community, reference.community, "threads={threads}");
-                assert_eq!(outcome.query_distance, reference.query_distance, "threads={threads}");
-                assert_eq!(outcome.iterations, reference.iterations, "threads={threads}");
-                assert_eq!(outcome.leaders, reference.leaders, "threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -22,18 +22,9 @@
 //! neighbourhoods — the common case the paper points out (the batch was a
 //! query's own farthest shell) touches only the batch's neighbours.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
-
 use bcc_graph::{GraphView, VertexId, INF_DIST};
 
 use crate::stats::{timed, SearchStats};
-
-/// Frontier sizes below this expand on the calling thread even when the
-/// parallel path is enabled: the `thread::scope` spawn cost (~tens of µs)
-/// dwarfs the relaxation work, and the first/last BFS levels are tiny on
-/// every real graph.
-const PARALLEL_FRONTIER_MIN: usize = 256;
 
 /// Per-query BFS distance arrays maintained incrementally across deletions.
 #[derive(Clone, Debug)]
@@ -69,47 +60,6 @@ impl IncrementalDistances {
     pub fn compute(view: &GraphView<'_>, queries: &[VertexId], stats: &mut SearchStats) -> Self {
         let dist = timed(&mut stats.time_query_distance, || {
             queries.iter().map(|&q| bcc_graph::bfs_distances(view, q)).collect()
-        });
-        stats.full_bfs_runs += queries.len() as u64;
-        IncrementalDistances {
-            queries: queries.to_vec(),
-            dist,
-            scratch: UpdateScratch::default(),
-        }
-    }
-
-    /// [`IncrementalDistances::compute`] with the chunked frontier-parallel
-    /// BFS across up to `threads` workers (`0` = all cores, `≤ 1` = the
-    /// sequential reference path). Hop distances are unique, and the
-    /// level-synchronous expansion assigns exactly them, so the resulting
-    /// arrays — and everything derived from them — are bit-identical to the
-    /// sequential path at any thread count (pinned by tests and the service
-    /// differential suite). Expansion and merge wall time land in the
-    /// `time_dist_expand` / `time_dist_merge` sub-phase slots.
-    pub fn compute_with_threads(
-        view: &GraphView<'_>,
-        queries: &[VertexId],
-        threads: usize,
-        stats: &mut SearchStats,
-    ) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        if threads <= 1 {
-            return Self::compute(view, queries, stats);
-        }
-        let SearchStats {
-            time_query_distance, time_dist_expand, time_dist_merge, ..
-        } = stats;
-        let dist = timed(time_query_distance, || {
-            queries
-                .iter()
-                .map(|&q| {
-                    bfs_distances_parallel(view, q, threads, time_dist_expand, time_dist_merge)
-                })
-                .collect()
         });
         stats.full_bfs_runs += queries.len() as u64;
         IncrementalDistances {
@@ -293,93 +243,6 @@ fn bucket_push(buckets: &mut Vec<Vec<VertexId>>, slot: usize, v: VertexId) {
     buckets[slot].push(v);
 }
 
-/// Chunked frontier-parallel single-source BFS: the level-synchronous
-/// counterpart of [`bcc_graph::bfs_distances`], and bit-identical to it —
-/// hop distances are unique, and every vertex is claimed for its exact
-/// level by a `compare_exchange` from [`INF_DIST`].
-///
-/// Each level's frontier is split into contiguous chunks, one per worker;
-/// workers relax their chunk's neighbors into private discovery buffers,
-/// which are then concatenated in chunk order, so even the internal frontier
-/// order is a pure function of the input. Levels smaller than
-/// `PARALLEL_FRONTIER_MIN` are expanded on the calling thread through the
-/// same claim loop. `expand` / `merge` accumulate the two sub-spans the
-/// observability layer reports as `query_dist_expand` / `query_dist_merge`.
-pub fn bfs_distances_parallel(
-    view: &GraphView<'_>,
-    source: VertexId,
-    threads: usize,
-    expand: &mut Duration,
-    merge: &mut Duration,
-) -> Vec<u32> {
-    let n = view.graph().vertex_count();
-    let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(INF_DIST)).collect();
-    if view.is_alive(source) {
-        dist[source.index()].store(0, Ordering::Relaxed);
-        let mut frontier = vec![source];
-        let mut level = 0u32;
-        while !frontier.is_empty() {
-            let next_level = level + 1;
-            let workers = if frontier.len() < PARALLEL_FRONTIER_MIN { 1 } else { threads };
-            if workers <= 1 {
-                let mut next = Vec::new();
-                timed(expand, || {
-                    relax_chunk(view, &frontier, &dist, next_level, &mut next)
-                });
-                frontier = next;
-            } else {
-                let chunk = frontier.len().div_ceil(workers);
-                let parts: Vec<Vec<VertexId>> = timed(expand, || {
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = frontier
-                            .chunks(chunk)
-                            .map(|slice| {
-                                let dist = &dist;
-                                s.spawn(move || {
-                                    let mut out = Vec::new();
-                                    relax_chunk(view, slice, dist, next_level, &mut out);
-                                    out
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().expect("bfs worker")).collect()
-                    })
-                });
-                timed(merge, || {
-                    frontier.clear();
-                    for part in parts {
-                        frontier.extend(part);
-                    }
-                });
-            }
-            level = next_level;
-        }
-    }
-    dist.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// One worker's share of a BFS level: claim every still-unvisited neighbor
-/// of `slice` for `next_level`. The winning `compare_exchange` also hands
-/// the claimer the enqueue, so each vertex enters exactly one buffer.
-fn relax_chunk(
-    view: &GraphView<'_>,
-    slice: &[VertexId],
-    dist: &[AtomicU32],
-    next_level: u32,
-    out: &mut Vec<VertexId>,
-) {
-    for &v in slice {
-        for u in view.neighbors(v) {
-            if dist[u.index()]
-                .compare_exchange(INF_DIST, next_level, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                out.push(u);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,46 +272,6 @@ mod tests {
             let fresh = bcc_graph::bfs_distances(view, q);
             assert_eq!(inc.dist[qi], fresh, "query {q} distances diverged");
         }
-    }
-
-    #[test]
-    fn parallel_bfs_is_bit_identical_to_sequential() {
-        let g = grid(12, 12);
-        let mut view = GraphView::new(&g);
-        // Punch deterministic holes so detours and an unreachable pocket exist.
-        for i in [13u32, 14, 25, 26, 37, 110, 121, 132] {
-            view.remove_vertex(VertexId(i));
-        }
-        for source in [VertexId(0), VertexId(143), VertexId(70), VertexId(13)] {
-            let reference = bcc_graph::bfs_distances(&view, source);
-            for threads in [1usize, 2, 3, 7, 0] {
-                let mut expand = Duration::ZERO;
-                let mut merge = Duration::ZERO;
-                assert_eq!(
-                    bfs_distances_parallel(&view, source, threads, &mut expand, &mut merge),
-                    reference,
-                    "source {source}, threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn compute_with_threads_matches_sequential_compute() {
-        let g = grid(10, 10);
-        let view = GraphView::new(&g);
-        let queries = [VertexId(0), VertexId(99)];
-        let mut seq_stats = SearchStats::default();
-        let seq = IncrementalDistances::compute(&view, &queries, &mut seq_stats);
-        for threads in [1usize, 2, 3, 7, 0] {
-            let mut stats = SearchStats::default();
-            let par =
-                IncrementalDistances::compute_with_threads(&view, &queries, threads, &mut stats);
-            assert_eq!(par.dist, seq.dist, "threads {threads}");
-            assert_eq!(stats.full_bfs_runs, 2);
-        }
-        // Sequential path never touches the sub-phase slots.
-        assert!(seq_stats.time_dist_expand.is_zero() && seq_stats.time_dist_merge.is_zero());
     }
 
     #[test]

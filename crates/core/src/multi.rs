@@ -41,9 +41,6 @@ pub struct MultiLabelBcc {
     pub strategy: MultiStrategy,
     /// Leader search radius ρ (used by LeaderPair and Local).
     pub rho: u32,
-    /// Worker threads for the per-query stages (`1` = sequential reference,
-    /// `0` = all cores). Bit-identical results at any value.
-    pub query_threads: usize,
 }
 
 impl Default for MultiLabelBcc {
@@ -51,7 +48,6 @@ impl Default for MultiLabelBcc {
         MultiLabelBcc {
             strategy: MultiStrategy::LeaderPair,
             rho: 3,
-            query_threads: 1,
         }
     }
 }
@@ -62,14 +58,7 @@ impl MultiLabelBcc {
         MultiLabelBcc {
             strategy,
             rho: 3,
-            query_threads: 1,
         }
-    }
-
-    /// Sets the query-thread knob (builder style).
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.query_threads = threads;
-        self
     }
 
     /// Searches for a connected mBCC containing all queries with a small
@@ -86,12 +75,12 @@ impl MultiLabelBcc {
 
         let (candidate, counts) = match self.strategy {
             MultiStrategy::Online | MultiStrategy::LeaderPair => {
-                Candidate::find_g0_threaded(graph, query, params, self.query_threads, &mut stats)?
+                Candidate::find_g0(graph, query, params, &mut stats)?
             }
             MultiStrategy::Local { eta, weights } => {
                 let index = index.expect("MultiStrategy::Local requires a BccIndex");
                 let view = self.local_candidate(graph, index, query, params, eta, weights)?;
-                Candidate::find_g0_in_threaded(view, query, params, self.query_threads, &mut stats)?
+                Candidate::find_g0_in(view, query, params, &mut stats)?
             }
         };
 
@@ -102,8 +91,7 @@ impl MultiLabelBcc {
                 c.leader_rho = self.rho;
                 c
             }
-        }
-        .with_query_threads(self.query_threads);
+        };
         let outcome = run_peel(candidate, counts, config, &mut stats)?;
         stats.time_total = started.elapsed();
         Ok(BccResult {
@@ -242,24 +230,6 @@ mod tests {
             err == SearchError::NoCandidate || err == SearchError::Disconnected,
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn query_threads_do_not_change_the_mbcc_result() {
-        let (g, query, params) = three_group_graph();
-        for strategy in [MultiStrategy::Online, MultiStrategy::LeaderPair] {
-            let reference = MultiLabelBcc::with_strategy(strategy)
-                .search(&g, None, &query, &params)
-                .unwrap();
-            for threads in [2usize, 3, 7, 0] {
-                let result = MultiLabelBcc::with_strategy(strategy)
-                    .with_query_threads(threads)
-                    .search(&g, None, &query, &params)
-                    .unwrap();
-                assert_eq!(result.community, reference.community, "{strategy:?} threads={threads}");
-                assert_eq!(result.leaders, reference.leaders, "{strategy:?} threads={threads}");
-            }
-        }
     }
 
     #[test]

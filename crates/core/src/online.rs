@@ -49,27 +49,15 @@ pub struct OnlineBcc {
     /// Delete all farthest vertices per iteration (`true`, the paper's
     /// setting) or a single one (`false`, the literal Algorithm 1).
     pub bulk: bool,
-    /// Worker threads for the per-query stages (`1` = sequential reference,
-    /// `0` = all cores). Bit-identical results at any value.
-    pub query_threads: usize,
 }
 
 impl Default for OnlineBcc {
     fn default() -> Self {
-        OnlineBcc {
-            bulk: true,
-            query_threads: 1,
-        }
+        OnlineBcc { bulk: true }
     }
 }
 
 impl OnlineBcc {
-    /// Sets the query-thread knob (builder style).
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.query_threads = threads;
-        self
-    }
-
     /// Searches for a `(k1, k2, b)`-BCC containing the query pair.
     pub fn search(
         &self,
@@ -80,9 +68,8 @@ impl OnlineBcc {
         let started = std::time::Instant::now();
         let mut stats = SearchStats::default();
         let (mquery, mparams) = to_multi(query, params);
-        let (candidate, counts) =
-            Candidate::find_g0_threaded(graph, &mquery, &mparams, self.query_threads, &mut stats)?;
-        let mut config = EngineConfig::online().with_query_threads(self.query_threads);
+        let (candidate, counts) = Candidate::find_g0(graph, &mquery, &mparams, &mut stats)?;
+        let mut config = EngineConfig::online();
         config.bulk = self.bulk;
         let outcome = run_peel(candidate, counts, config, &mut stats)?;
         Ok(finish(outcome, stats, started))
@@ -97,9 +84,6 @@ pub struct LpBcc {
     pub bulk: bool,
     /// Leader search radius ρ of Algorithm 6.
     pub rho: u32,
-    /// Worker threads for the per-query stages (`1` = sequential reference,
-    /// `0` = all cores). Bit-identical results at any value.
-    pub query_threads: usize,
 }
 
 impl Default for LpBcc {
@@ -107,18 +91,11 @@ impl Default for LpBcc {
         LpBcc {
             bulk: true,
             rho: 3,
-            query_threads: 1,
         }
     }
 }
 
 impl LpBcc {
-    /// Sets the query-thread knob (builder style).
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.query_threads = threads;
-        self
-    }
-
     /// Searches for a `(k1, k2, b)`-BCC containing the query pair.
     pub fn search(
         &self,
@@ -129,9 +106,8 @@ impl LpBcc {
         let started = std::time::Instant::now();
         let mut stats = SearchStats::default();
         let (mquery, mparams) = to_multi(query, params);
-        let (candidate, counts) =
-            Candidate::find_g0_threaded(graph, &mquery, &mparams, self.query_threads, &mut stats)?;
-        let mut config = EngineConfig::leader_pair().with_query_threads(self.query_threads);
+        let (candidate, counts) = Candidate::find_g0(graph, &mquery, &mparams, &mut stats)?;
+        let mut config = EngineConfig::leader_pair();
         config.bulk = self.bulk;
         config.leader_rho = self.rho;
         let outcome = run_peel(candidate, counts, config, &mut stats)?;
@@ -149,9 +125,6 @@ pub struct L2pBcc {
     pub weights: PathWeights,
     /// Leader search radius ρ.
     pub rho: u32,
-    /// Worker threads for the per-query stages (`1` = sequential reference,
-    /// `0` = all cores). Bit-identical results at any value.
-    pub query_threads: usize,
 }
 
 impl Default for L2pBcc {
@@ -160,18 +133,11 @@ impl Default for L2pBcc {
             eta: 2048,
             weights: PathWeights::default(),
             rho: 3,
-            query_threads: 1,
         }
     }
 }
 
 impl L2pBcc {
-    /// Sets the query-thread knob (builder style).
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.query_threads = threads;
-        self
-    }
-
     /// Searches for a `(k1, k2, b)`-BCC containing the query pair, using
     /// `index` (built once with [`BccIndex::build`]) for the path weight and
     /// the expansion floors.
@@ -222,14 +188,8 @@ impl L2pBcc {
 
         // Lines 4–5: extract the BCC inside the candidate and bulk-peel it
         // with the LP strategies.
-        let (candidate, counts) = Candidate::find_g0_in_threaded(
-            local_view,
-            &mquery,
-            &mparams,
-            self.query_threads,
-            &mut stats,
-        )?;
-        let mut config = EngineConfig::leader_pair().with_query_threads(self.query_threads);
+        let (candidate, counts) = Candidate::find_g0_in(local_view, &mquery, &mparams, &mut stats)?;
+        let mut config = EngineConfig::leader_pair();
         config.leader_rho = self.rho;
         let outcome = run_peel(candidate, counts, config, &mut stats)?;
         Ok(finish(outcome, stats, started))
@@ -380,37 +340,6 @@ mod tests {
             lp.stats.butterfly_countings <= online.stats.butterfly_countings,
             "LP must not count butterflies more often than Online"
         );
-    }
-
-    #[test]
-    fn query_threads_do_not_change_any_result() {
-        let (g, q) = figure1_like();
-        let params = BccParams::new(4, 3, 1);
-        let index = BccIndex::build(&g);
-        let online_ref = OnlineBcc::default().search(&g, &q, &params).unwrap();
-        let lp_ref = LpBcc::default().search(&g, &q, &params).unwrap();
-        let l2p_ref = L2pBcc::default().search(&g, &index, &q, &params).unwrap();
-        for threads in [2usize, 3, 7, 0] {
-            let online = OnlineBcc::default()
-                .with_query_threads(threads)
-                .search(&g, &q, &params)
-                .unwrap();
-            assert_eq!(online.community, online_ref.community, "threads={threads}");
-            assert_eq!(online.query_distance, online_ref.query_distance);
-            assert_eq!(online.leaders, online_ref.leaders, "threads={threads}");
-            let lp = LpBcc::default()
-                .with_query_threads(threads)
-                .search(&g, &q, &params)
-                .unwrap();
-            assert_eq!(lp.community, lp_ref.community, "threads={threads}");
-            assert_eq!(lp.leaders, lp_ref.leaders, "threads={threads}");
-            let l2p = L2pBcc::default()
-                .with_query_threads(threads)
-                .search(&g, &index, &q, &params)
-                .unwrap();
-            assert_eq!(l2p.community, l2p_ref.community, "threads={threads}");
-            assert_eq!(l2p.leaders, l2p_ref.leaders, "threads={threads}");
-        }
     }
 
     #[test]

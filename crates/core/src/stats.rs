@@ -31,13 +31,6 @@ pub struct SearchStats {
     pub iterations: u64,
     /// Wall time spent computing/updating query distances.
     pub time_query_distance: Duration,
-    /// Sub-span of `time_query_distance` on the parallel online path:
-    /// frontier expansion (neighbor relaxation) of the level-synchronous
-    /// BFS. Zero on the sequential reference path.
-    pub time_dist_expand: Duration,
-    /// Sub-span of `time_query_distance` on the parallel online path:
-    /// merging per-worker discovery buffers into the next frontier.
-    pub time_dist_merge: Duration,
     /// Wall time spent in label-core decomposition / reduction to the
     /// per-label cores (Algorithm 2 lines 1–3).
     pub time_core_decomp: Duration,
@@ -61,8 +54,6 @@ impl SearchStats {
         self.vertices_deleted += other.vertices_deleted;
         self.iterations += other.iterations;
         self.time_query_distance += other.time_query_distance;
-        self.time_dist_expand += other.time_dist_expand;
-        self.time_dist_merge += other.time_dist_merge;
         self.time_core_decomp += other.time_core_decomp;
         self.time_butterfly_counting += other.time_butterfly_counting;
         self.time_leader_update += other.time_leader_update;
@@ -78,13 +69,6 @@ impl SearchStats {
         recorder.record_phase(Phase::CoreDecomp, self.time_core_decomp);
         recorder.record_phase(Phase::ButterflyCounting, self.time_butterfly_counting);
         recorder.record_phase(Phase::LeaderPairing, self.time_leader_update);
-        // The distance sub-phases exist only where the parallel BFS ran;
-        // recording them unconditionally would flood the histograms with
-        // zero samples from every sequential query.
-        if !self.time_dist_expand.is_zero() || !self.time_dist_merge.is_zero() {
-            recorder.record_phase(Phase::QueryDistExpand, self.time_dist_expand);
-            recorder.record_phase(Phase::QueryDistMerge, self.time_dist_merge);
-        }
     }
 }
 

@@ -258,21 +258,12 @@ pub enum Phase {
     ChiDelta,
     /// Commit: community-scoped result-cache invalidation / rekeying.
     CacheInvalidate,
-    /// Sub-phase of [`Phase::QueryDistance`] on the parallel online path:
-    /// frontier expansion (neighbor relaxation) of the level-synchronous
-    /// BFS. Zero / unrecorded on the sequential reference path.
-    QueryDistExpand,
-    /// Sub-phase of [`Phase::QueryDistance`] on the parallel online path:
-    /// merging per-worker discovery buffers into the next frontier.
-    QueryDistMerge,
 }
 
 impl Phase {
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 8;
 
-    /// All phases, in display order (query phases, commit stages, then the
-    /// parallel-path sub-phases — appended last so historical snapshot
-    /// consumers keep their positional prefix).
+    /// All phases, in display order: query phases, then commit stages.
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::QueryDistance,
         Phase::CoreDecomp,
@@ -282,8 +273,6 @@ impl Phase {
         Phase::Cascade,
         Phase::ChiDelta,
         Phase::CacheInvalidate,
-        Phase::QueryDistExpand,
-        Phase::QueryDistMerge,
     ];
 
     #[inline]
@@ -302,8 +291,6 @@ impl Phase {
             Phase::Cascade => "cascade",
             Phase::ChiDelta => "chi_delta",
             Phase::CacheInvalidate => "cache_invalidate",
-            Phase::QueryDistExpand => "query_dist_expand",
-            Phase::QueryDistMerge => "query_dist_merge",
         }
     }
 }

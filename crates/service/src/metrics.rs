@@ -372,6 +372,19 @@ fn prometheus_summary(out: &mut String, name: &str, labels: &str, snap: &Histogr
 mod tests {
     use super::*;
 
+    /// The engine phases every snapshot and exposition lists, in order: the
+    /// four query phases, then the four commit stages.
+    const PHASE_NAMES: [&str; 8] = [
+        "query_distance",
+        "core_decomp",
+        "butterfly_counting",
+        "leader_pairing",
+        "overlay_apply",
+        "cascade",
+        "chi_delta",
+        "cache_invalidate",
+    ];
+
     #[test]
     fn verb_names_are_stable_and_distinct() {
         let mut names: Vec<_> = Verb::ALL.iter().map(|v| v.name()).collect();
@@ -472,9 +485,15 @@ mod tests {
         for v in Verb::ALL {
             assert_eq!(json.matches(&format!("\"{}\":{{", v.name())).count(), 1, "{}", v.name());
         }
-        for p in Phase::ALL {
-            assert!(json.contains(&format!("\"{}\":{{", p.name())), "{}", p.name());
-        }
+        assert_eq!(Phase::ALL.map(Phase::name), PHASE_NAMES);
+        let start = json.find("\"phases\":{").expect("phases object") + "\"phases\":{".len();
+        let end = json.find("},\"queue_wait\"").expect("phases object closes");
+        let phases: Vec<&str> = json[start..end]
+            .split("},")
+            .map(|entry| entry.split('"').nth(1).expect("phase key"))
+            .collect();
+        assert_eq!(phases, PHASE_NAMES, "{json}");
+        assert!(!json.contains("query_dist_"), "{json}");
     }
 
     #[test]
@@ -494,6 +513,13 @@ mod tests {
         assert!(text.contains("bcc_queue_wait_microseconds{quantile=\"0.5\"}"));
         assert!(text.contains("bcc_queue_wait_microseconds_count 1"));
         assert!(text.ends_with('\n'));
+        let phases: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("bcc_phase_latency_microseconds_count{phase=\""))
+            .map(|rest| rest.split('"').next().expect("phase label"))
+            .collect();
+        assert_eq!(phases, PHASE_NAMES, "{text}");
+        assert!(!text.contains("query_dist_"), "{text}");
         // Every line is either a comment or `name{labels} value`.
         for line in text.lines() {
             assert!(

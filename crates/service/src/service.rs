@@ -69,11 +69,10 @@ pub struct ServiceConfig {
     /// Queries slower than this are counted and logged (one JSON line to
     /// stderr) when metrics are enabled. 0 flags everything measurable.
     pub slow_query_ms: u64,
-    /// Worker threads *inside* each search's stages (BFS distances,
-    /// label-core reduction, butterfly recounts). The default, `1`, runs
-    /// each search on its worker's own thread — the pool already
-    /// parallelizes *across* queries; `> 1` (or `0`, all cores) opts into
-    /// the parallel stages. Responses are byte-identical at every setting.
+    /// Retired. Each search runs its stages on the worker that executes it,
+    /// so the only accepted value is the default, `1`; [`BccService::new`]
+    /// panics on any other.
+    #[deprecated(note = "searches run sequentially; ROADMAP item 1 deletes this field")]
     pub query_threads: usize,
     /// Deterministic fault-injection rules, one spec per entry
     /// (`<site>:<action>[:<from>[:<count>]]` — see [`FaultPlan::parse`]).
@@ -83,6 +82,7 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         ServiceConfig {
             workers: 0,
@@ -289,8 +289,16 @@ impl BccService {
     /// # Panics
     ///
     /// When `config.faults` holds a malformed spec — callers taking specs
-    /// from users (the CLI) pre-validate with [`FaultPlan::parse`].
+    /// from users (the CLI) pre-validate with [`FaultPlan::parse`] — or
+    /// when the retired `config.query_threads` is not 1.
     pub fn new(config: ServiceConfig) -> Self {
+        #[allow(deprecated)]
+        let query_threads = config.query_threads;
+        assert!(
+            query_threads == 1,
+            "ServiceConfig::query_threads must be 1 (got {query_threads}): \
+             each search runs sequentially on its worker"
+        );
         let faults = Arc::new(
             FaultPlan::parse(&config.faults)
                 .unwrap_or_else(|err| panic!("invalid fault spec: {err}")),
@@ -479,7 +487,6 @@ impl BccService {
             cache: Arc::clone(&self.cache),
             metrics: Arc::clone(&self.metrics),
             faults: Arc::clone(&self.faults),
-            query_threads: self.config.query_threads,
         }
     }
 
@@ -1166,7 +1173,6 @@ struct ExecShared {
     cache: SharedCache,
     metrics: Arc<Metrics>,
     faults: Arc<FaultPlan>,
-    query_threads: usize,
 }
 
 /// Maps a pool-level wait failure to the structured protocol error it
@@ -1226,8 +1232,7 @@ fn execute(
     let result = if normalized.multi {
         let query = MbccQuery::new(normalized.vertices.clone());
         let params = MbccParams::new(normalized.ks.clone(), normalized.b);
-        let searcher = MultiLabelBcc::with_strategy(method.multi_strategy())
-            .with_query_threads(shared.query_threads);
+        let searcher = MultiLabelBcc::with_strategy(method.multi_strategy());
         let index = match method {
             Method::L2p => Some(&entry.index().index),
             _ => None,
@@ -1237,15 +1242,9 @@ fn execute(
         let query = BccQuery::pair(normalized.vertices[0], normalized.vertices[1]);
         let params = BccParams::new(normalized.ks[0], normalized.ks[1], normalized.b);
         match method {
-            Method::Online => OnlineBcc::default()
-                .with_query_threads(shared.query_threads)
-                .search(graph, &query, &params),
-            Method::Lp => LpBcc::default()
-                .with_query_threads(shared.query_threads)
-                .search(graph, &query, &params),
-            Method::L2p => L2pBcc::default()
-                .with_query_threads(shared.query_threads)
-                .search(graph, &entry.index().index, &query, &params),
+            Method::Online => OnlineBcc::default().search(graph, &query, &params),
+            Method::Lp => LpBcc::default().search(graph, &query, &params),
+            Method::L2p => L2pBcc::default().search(graph, &entry.index().index, &query, &params),
         }
     };
     let elapsed = started.elapsed();
@@ -1310,6 +1309,60 @@ mod tests {
             ServiceConfig { workers: 2, ..ServiceConfig::default() },
             butterfly_graph(),
         )
+    }
+
+    /// The three retired query-thread entry points, kept for callers
+    /// outside the workspace: at 1 they answer exactly like their
+    /// sequential twins, and any other count panics.
+    #[test]
+    #[allow(deprecated)]
+    fn query_thread_shims_accept_only_one() {
+        use bcc_core::candidate::Candidate;
+        use bcc_core::SearchStats;
+        use bcc_graph::GraphView;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let g = butterfly_graph();
+        let query = MbccQuery::new(vec![VertexId(0), VertexId(4)]);
+        let params = MbccParams::new(vec![3, 3], 1);
+        let stats = &mut SearchStats::default();
+        let pairs = [
+            (
+                Candidate::find_g0(&g, &query, &params, stats).unwrap(),
+                Candidate::find_g0_threaded(&g, &query, &params, 1, stats).unwrap(),
+            ),
+            (
+                Candidate::find_g0_in(GraphView::new(&g), &query, &params, stats).unwrap(),
+                Candidate::find_g0_in_threaded(GraphView::new(&g), &query, &params, 1, stats)
+                    .unwrap(),
+            ),
+        ];
+        for ((reference, ref_counts), (shim, shim_counts)) in &pairs {
+            assert_eq!(shim.view.alive_set(), reference.view.alive_set());
+            assert_eq!(shim.pair_alive, reference.pair_alive);
+            assert_eq!(shim_counts.len(), ref_counts.len());
+            for (a, b) in shim_counts.iter().zip(ref_counts) {
+                assert_eq!(a.chi, b.chi);
+            }
+        }
+        for threads in [0usize, 2] {
+            let stats = &mut SearchStats::default();
+            assert!(catch_unwind(AssertUnwindSafe(|| {
+                Candidate::find_g0_threaded(&g, &query, &params, threads, stats)
+            }))
+            .is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| {
+                Candidate::find_g0_in_threaded(GraphView::new(&g), &query, &params, threads, stats)
+            }))
+            .is_err());
+        }
+        let payload = catch_unwind(|| {
+            BccService::new(ServiceConfig { query_threads: 2, ..ServiceConfig::default() })
+        })
+        .err()
+        .expect("query_threads: 2 must be rejected");
+        let message = crate::fault::panic_message(payload.as_ref());
+        assert!(message.contains("query_threads"), "{message}");
     }
 
     #[test]

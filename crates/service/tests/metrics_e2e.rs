@@ -196,60 +196,6 @@ fn metrics_verb_and_prometheus_populated_by_real_queries() {
     handle.join();
 }
 
-/// The `query_threads` knob composes with the metrics tier: responses stay
-/// byte-identical at every setting, while the parallel BFS's
-/// frontier-expansion / merge sub-phases show up in the snapshot only when
-/// the parallel path actually ran (the sequential reference records
-/// neither — no zero-sample flooding).
-#[test]
-fn query_threads_keep_bytes_identical_and_record_bfs_subphases() {
-    let transcript = |query_threads: usize| -> (Vec<String>, String) {
-        let svc = Arc::new(BccService::new(ServiceConfig {
-            workers: 2,
-            cache_capacity: 0,
-            metrics: true,
-            query_threads,
-            ..ServiceConfig::default()
-        }));
-        svc.registry().insert("g".to_string(), butterfly_graph());
-        let handle = Server::bind(Arc::clone(&svc), "127.0.0.1:0", ServerConfig::default())
-            .expect("bind");
-        let mut client = Client::connect(&handle, false);
-        let out: Vec<String> =
-            workload().iter().map(|line| client.round_trip(line)).collect();
-        let snapshot = client.round_trip("metrics");
-        drop(client);
-        handle.shutdown();
-        handle.join();
-        (out, snapshot)
-    };
-    let subphase_count = |snapshot: &str, phase: &str| -> u64 {
-        let key = format!("\"{phase}\":{{\"count\":");
-        let tail = &snapshot[snapshot.find(&key).expect("sub-phase key present") + key.len()..];
-        tail[..tail.find(',').expect("count is comma-terminated")]
-            .parse()
-            .expect("count is an integer")
-    };
-
-    let (reference, seq_snapshot) = transcript(1);
-    // The sequential reference path never enters the chunked BFS, so the
-    // sub-phase histograms must stay empty.
-    assert_eq!(subphase_count(&seq_snapshot, "query_dist_expand"), 0, "{seq_snapshot}");
-    assert_eq!(subphase_count(&seq_snapshot, "query_dist_merge"), 0, "{seq_snapshot}");
-
-    for threads in [2usize, 3] {
-        let (run, snapshot) = transcript(threads);
-        assert_eq!(
-            run, reference,
-            "query_threads={threads} changed response bytes over TCP"
-        );
-        // All 6 executed searches (5 search + 1 msearch) went through the
-        // parallel BFS, and each replayed both sub-phases exactly once.
-        assert_eq!(subphase_count(&snapshot, "query_dist_expand"), 6, "{snapshot}");
-        assert_eq!(subphase_count(&snapshot, "query_dist_merge"), 6, "{snapshot}");
-    }
-}
-
 /// With the tier disabled the `metrics` verb still answers (counters tick,
 /// histograms stay empty) — observability degrades, never errors.
 #[test]
